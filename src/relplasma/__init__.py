@@ -19,8 +19,8 @@ from .response import (ConstitutiveTensors, assemble_responses,
 from .scalar_functions import (DrudeResult, LightConeSingular,
                                MomentIntegrals, StationaryResult,
                                drude_scalars, longwave_A, longwave_B,
-                               medium_A_full, medium_B_full, medium_D_full,
-                               moment_integrals, scalar_triple, select_regime,
+                               medium_B_full, medium_D_full, moment_integrals,
+                               scalar_triple, select_regime,
                                stationary_scalars, vacuum_C)
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "LightConeSingular",
     "RootNotBracketed",
     "vacuum_C",
-    "medium_A_full",
     "medium_B_full",
     "medium_D_full",
     "MomentIntegrals",

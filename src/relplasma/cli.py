@@ -189,6 +189,9 @@ def _build_sweep_spec(args) -> SweepSpec:
                 raise UsageError(f"{name} values must be finite and >= {low}")
     for w in omega:
         for qv in q:
+            if w == 0.0 and qv == 0.0:
+                raise UsageError("point omega=0, q=0 has no response: "
+                                 "the static route needs q > 0")
             if w * w - qv * qv >= PAIR_THRESHOLD:
                 raise UsageError(
                     f"point omega={w}, q={qv} reaches the pair continuum")

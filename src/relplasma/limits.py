@@ -107,13 +107,10 @@ def lindhard_chi_e(omega: float, qmag: float, nr: NRState) -> float:
 
 
 def thomas_fermi_mass2(state: ThermoState, tol: float = DEFAULT_TOL) -> float:
-    """Static screening mass squared of the relativistic gas."""
-    if state.t == 0.0:
-        if state.zeta <= 1.0:
-            return 0.0
-        ach = math.acosh(state.zeta)
-        pf = math.sqrt(state.zeta**2 - 1.0)
-        return (state.e2 / (4.0 * _PI2)) * (ach + 3.0 * state.zeta * pf)
+    """Static screening mass squared of the relativistic gas.
+
+    The transverse static scalar at qmag = 1 is the mass squared itself.
+    """
     return stationary_scalars(1.0, state, tol=tol).bStar
 
 

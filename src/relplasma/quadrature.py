@@ -3,13 +3,14 @@
 The integration variable is x = omega_p/m on [1, X_cut].  Panels are refined by
 bisecting whichever panel carries the largest error estimate; panel edges are
 placed on every known zero of a logarithmic argument so the open Gauss-Kronrod
-nodes never touch a singular point.
+nodes never touch a singular point.  An integrand may return k rows at once:
+all k components then share one panel tree and one evaluation per node.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,8 +40,11 @@ _WG[1:-1:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: float
-    errEst: float
+    """value and errEst are floats for a scalar integrand, length-k arrays for
+    an integrand returning k rows."""
+
+    value: float | np.ndarray
+    errEst: float | np.ndarray
     panels: int
     converged: bool
 
@@ -68,77 +72,84 @@ class NonConvergence(RuntimeError):
         self.result = result
 
 
-def _panel(f, lo: float, hi: float) -> tuple[float, float]:
-    """One Gauss-Kronrod pass: returns (kronrod value, error estimate)."""
+def _panel(f, lo: float, hi: float):
+    """One Gauss-Kronrod pass: (kronrod value, error estimate) per component."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     fv = np.asarray(f(mid + half * _XK), dtype=float)
-    k = half * float(np.dot(_WK, fv))
-    g = half * float(np.dot(_WG, fv))
-    if not math.isfinite(k):
-        return k, math.inf
-    return k, abs(k - g)
+    k = half * (fv @ _WK)
+    err = abs(k - half * (fv @ _WG))
+    finite = np.isfinite(k)
+    if not finite.all():
+        err = np.where(finite, err, math.inf)
+    return k, err
+
+
+def _totals(heap, frozen, converged: bool) -> IntegralResult:
+    value = sum(item[4] for item in heap) + sum(v for v, _ in frozen)
+    err = sum(item[5] for item in heap) + sum(e for _, e in frozen)
+    if np.ndim(value) == 0:
+        value, err = float(value), float(err)
+    return IntegralResult(value, err, len(heap) + len(frozen), converged)
 
 
 def adaptive_panels(f, edges, tol: float = DEFAULT_TOL,
                     budget: int = PANEL_BUDGET) -> IntegralResult:
     """Integrate f over [edges[0], edges[-1]] with initial splits at every edge.
 
-    f must accept a numpy array of abscissae.  Raises NonConvergence when the
-    panel budget runs out before the summed error estimate drops below tol.
+    f must accept a numpy array of n abscissae and return shape (n,), or
+    (k, n) for k integrands on one shared panel tree.  The panel whose largest
+    component error is biggest is bisected first, until every component's
+    summed error estimate is at most tol, so each component meets the
+    tolerance it would meet as a separate integral.  With no panel to
+    integrate the result is a scalar zero.  Raises NonConvergence when the
+    panel budget runs out first.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     edges = sorted(set(float(e) for e in edges))
-    heap: list[tuple[float, int, float, float, float]] = []
-    frozen: list[tuple[float, float]] = []  # (value, err) of panels at machine width
+    # heap items: (-largest component error, serial, lo, hi, value, error)
+    heap: list[tuple] = []
+    frozen: list[tuple] = []  # (value, error) of panels at machine width
     serial = 0
     live_err = 0.0
     for lo, hi in zip(edges, edges[1:]):
-        if hi <= lo:
-            continue
         val, err = _panel(f, lo, hi)
-        heapq.heappush(heap, (-err, serial, lo, hi, val))
+        heapq.heappush(heap, (-err.max(), serial, lo, hi, val, err))
         live_err += err
         serial += 1
-    if not heap and not frozen:
+    if not heap:
         return IntegralResult(0.0, 0.0, 0, True)
 
-    def totals() -> tuple[float, float, int]:
-        value = sum(item[4] for item in heap) + sum(v for v, _ in frozen)
-        err = -sum(item[0] for item in heap) + sum(e for _, e in frozen)
-        return value, err, len(heap) + len(frozen)
-
     frozen_err = 0.0
-    while heap and live_err + frozen_err > tol:
+    while heap and (live_err + frozen_err).max() > tol:
         if len(heap) + len(frozen) >= budget:
-            value, err, n = totals()
+            res = _totals(heap, frozen, False)
             raise NonConvergence(
-                IntegralResult(value, err, n, False),
-                f"budget of {budget} panels exhausted, errEst {err:.3e} > tol {tol:.3e}",
-            )
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        live_err += neg_err
+                res, f"budget of {budget} panels exhausted, errEst "
+                f"{np.max(res.errEst):.3e} > tol {tol:.3e}")
+        _, _, lo, hi, val, err = heapq.heappop(heap)
+        live_err -= err
         mid = 0.5 * (lo + hi)
         # stop well above machine width: thinner panels would let rounding push
         # open-rule nodes onto a singular edge
         if hi - lo < 1e-13 * max(1.0, abs(lo), abs(hi)):
-            frozen.append((val, -neg_err))
-            frozen_err += -neg_err
+            frozen.append((val, err))
+            frozen_err += err
             continue
         for plo, phi in ((lo, mid), (mid, hi)):
             pval, perr = _panel(f, plo, phi)
-            heapq.heappush(heap, (-perr, serial, plo, phi, pval))
+            heapq.heappush(heap, (-perr.max(), serial, plo, phi, pval, perr))
             live_err += perr
             serial += 1
 
-    value, err, n = totals()
-    if err > tol:
+    res = _totals(heap, frozen, True)
+    if np.max(res.errEst) > tol:
         raise NonConvergence(
-            IntegralResult(value, err, n, False),
-            f"all panels at machine width, errEst {err:.3e} > tol {tol:.3e}",
-        )
-    return IntegralResult(value, err, n, True)
+            replace(res, converged=False),
+            f"all panels at machine width, errEst {np.max(res.errEst):.3e} "
+            f"> tol {tol:.3e}")
+    return res
 
 
 def fermi_x_cut(state: ThermoState, tol: float) -> float:
@@ -150,16 +161,13 @@ def fermi_x_cut(state: ThermoState, tol: float) -> float:
 
 
 def integrate_semi_infinite(f, state: ThermoState, breaks: Breakpoints,
-                            tol: float = DEFAULT_TOL, budget: int = PANEL_BUDGET,
-                            x_cut_scale: float = 1.0) -> IntegralResult:
+                            tol: float = DEFAULT_TOL, budget: int = PANEL_BUDGET
+                            ) -> IntegralResult:
     """Integrate an already-Fermi-weighted integrand f over x in [1, infinity).
 
     The state fixes the effective cutoff X_cut; breaks become panel edges.
-    x_cut_scale stretches the cutoff (testing hook for tail-truncation checks).
     """
     x_cut = fermi_x_cut(state, tol)
-    if x_cut_scale != 1.0 and state.t > 0.0:
-        x_cut = max(state.zeta, 1.0) + (x_cut - max(state.zeta, 1.0)) * x_cut_scale
     if x_cut <= 1.0:
         return IntegralResult(0.0, 0.0, 0, True)
     edges = [1.0, x_cut]

@@ -85,12 +85,6 @@ def sigma_helper(y: float) -> float:
 # log kernels of the finite-momentum integrands
 
 
-@dataclass(frozen=True)
-class LogKernels:
-    f1: float
-    f2: float
-
-
 def _f1_values(x, s, a: float, b: float):
     g = a * a - b * b
     return (-np.log(np.abs(a * x + b * s + g))
@@ -107,98 +101,59 @@ def _f2_values(x, s, a: float, b: float):
             - np.log(np.abs(-a * x + b * s + g)))
 
 
-def _snapped_log(arg: float, scale: float) -> float:
-    # within a few ulps of a sign change the log is meaningless noise
-    if abs(arg) <= 64.0 * 2.220446049250313e-16 * scale:
-        return math.nan
-    return math.log(abs(arg))
-
-
-def log_kernels(x: float, kin: Kinematics) -> LogKernels:
-    """Antisymmetrized log combinations entering the finite-momentum integrands.
-
-    Returns NaN components when x lands on a zero of a log argument; the
-    quadrature layer treats those points as panel boundaries instead.
-    """
-    if x < 1.0:
-        raise ValueError("log kernels are defined for x >= 1")
-    if kin.b <= 0.0:
-        raise ValueError("log kernels need qmag > 0")
-    a, b = kin.a, kin.b
-    s = math.sqrt(x * x - 1.0)
-    f1 = 0.0
-    for sgn_a, sgn_b, weight in ((a, b, -1.0), (-a, b, -1.0), (a, -b, 1.0), (-a, -b, 1.0)):
-        g = a * a - b * b
-        arg = sgn_a * x + sgn_b * s + g
-        f1 += weight * _snapped_log(arg, abs(sgn_a) * x + abs(sgn_b) * s + abs(g))
-    if a == 0.0:
-        f2 = 0.0  # exact pairwise cancellation at zero frequency
-    else:
-        f2 = 0.0
-        g = a * a
-        for sgn_a, sgn_b, weight in ((a, b, 1.0), (-a, -b, 1.0), (a, -b, -1.0), (-a, b, -1.0)):
-            arg = sgn_a * x + sgn_b * s + g
-            f2 += weight * _snapped_log(arg, abs(sgn_a) * x + abs(sgn_b) * s + g)
-    return LogKernels(f1, f2)
-
-
 # ---------------------------------------------------------------------------
 # finite-momentum (full kinematics) integrals
 
 
-def _medium_bracket(x, kin: Kinematics, state: ThermoState, transverse: bool):
+def _medium_bracket(x, kin: Kinematics, state: ThermoState):
+    """Integrand rows of the transverse (B) and auxiliary (D) scalars."""
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.maximum(x * x - 1.0, 0.0))
     a, b = kin.a, kin.b
     occ = fermi_occupation(x, state)
     f1 = _f1_values(x, s, a, b)
-    if transverse:
-        out = s + (x * x + a * a - b * b) / (4.0 * b) * f1
-        if a != 0.0:
-            out = out - (a * x) / (2.0 * b) * _f2_values(x, s, a, b)
-    else:
-        out = s + (1.0 + 2.0 * a * a - 2.0 * b * b) / (8.0 * b) * f1
-    return occ * out
+    rows = np.empty((2, x.size))
+    rows[0] = s + (x * x + a * a - b * b) / (4.0 * b) * f1
+    if a != 0.0:
+        rows[0] -= (a * x) / (2.0 * b) * _f2_values(x, s, a, b)
+    rows[1] = s + (1.0 + 2.0 * a * a - 2.0 * b * b) / (8.0 * b) * f1
+    rows *= occ
+    return rows
 
 
-def _medium_integral(kin: Kinematics, state: ThermoState, tol: float,
-                     budget: int, transverse: bool) -> IntegralResult:
+def _medium_integrals(kin: Kinematics, state: ThermoState, tol: float,
+                      budget: int = PANEL_BUDGET) -> IntegralResult:
+    """B and D at full kinematics from one quadrature on a shared panel tree."""
     if abs(kin.qm2) < LIGHTCONE_GUARD:
         raise LightConeSingular(
             f"qm2 = {kin.qm2:.3e} lies inside the light-cone guard band")
     if kin.qmag <= 0.0:
         raise ValueError("finite-momentum integrals need qmag > 0")
     breaks = locate_log_singularities(kin, x_max=fermi_x_cut(state, tol))
-    res = integrate_semi_infinite(
-        lambda x: _medium_bracket(x, kin, state, transverse),
-        state, breaks, tol=tol, budget=budget)
+    res = integrate_semi_infinite(lambda x: _medium_bracket(x, kin, state),
+                                  state, breaks, tol=tol, budget=budget)
     pref = -(state.e2 / (4.0 * _PI2)) / (kin.a**2 - kin.b**2)
-    return IntegralResult(pref * res.value, abs(pref) * res.errEst,
+    # an empty sea has no panel and comes back as a scalar zero
+    return IntegralResult(pref * np.broadcast_to(res.value, 2),
+                          abs(pref) * np.broadcast_to(res.errEst, 2),
+                          res.panels, res.converged)
+
+
+def _row(res: IntegralResult, i: int) -> IntegralResult:
+    return IntegralResult(float(res.value[i]), float(res.errEst[i]),
                           res.panels, res.converged)
 
 
 def medium_B_full(kin: Kinematics, state: ThermoState, tol: float = DEFAULT_TOL,
                   budget: int = PANEL_BUDGET) -> IntegralResult:
     """Transverse matter scalar at full kinematics."""
-    return _medium_integral(kin, state, tol, budget, transverse=True)
+    return _row(_medium_integrals(kin, state, tol, budget), 0)
 
 
 def medium_D_full(kin: Kinematics, state: ThermoState, tol: float = DEFAULT_TOL,
                   budget: int = PANEL_BUDGET) -> IntegralResult:
     """Auxiliary matter scalar at full kinematics; longitudinal piece follows."""
-    return _medium_integral(kin, state, tol, budget, transverse=False)
-
-
-def medium_A_full(kin: Kinematics, state: ThermoState, tol: float = DEFAULT_TOL,
-                  budget: int = PANEL_BUDGET) -> IntegralResult:
-    """Longitudinal matter scalar, combined from the two quadratures."""
-    rb = medium_B_full(kin, state, tol=tol, budget=budget)
-    rd = medium_D_full(kin, state, tol=tol, budget=budget)
-    factor = 1.0 + 1.5 * kin.qm2 / (kin.qmag**2)
-    return IntegralResult(rd.value + factor * rb.value,
-                          rd.errEst + abs(factor) * rb.errEst,
-                          rd.panels + rb.panels,
-                          rd.converged and rb.converged)
+    return _row(_medium_integrals(kin, state, tol, budget), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +200,14 @@ def _moments_cold(a2: float, zeta: float) -> MomentIntegrals:
 
 
 def _moments_quadrature(a2: float, state: ThermoState, tol: float) -> MomentIntegrals:
-    def weighted(power):
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            s = np.sqrt(np.maximum(x * x - 1.0, 0.0))
-            den = (x * x - a2) ** power if power else 1.0
-            return fermi_occupation(x, state) * s / den
-        return f
+    def weighted(x):
+        w = fermi_occupation(x, state) * np.sqrt(np.maximum(x * x - 1.0, 0.0))
+        den = x * x - a2
+        return np.array((w, w / den, w / (den * den)))
 
-    none = Breakpoints()
-    r0 = integrate_semi_infinite(weighted(0), state, none, tol=tol)
-    r1 = integrate_semi_infinite(weighted(1), state, none, tol=tol)
-    r2 = integrate_semi_infinite(weighted(2), state, none, tol=tol)
-    return MomentIntegrals(r0.value, r1.value, r2.value,
-                           r0.errEst + r1.errEst + r2.errEst)
+    res = integrate_semi_infinite(weighted, state, Breakpoints(), tol=tol)
+    i0, i1, i2 = np.broadcast_to(res.value, 3).tolist()
+    return MomentIntegrals(i0, i1, i2, float(np.sum(res.errEst)))
 
 
 def moment_integrals(a2: float, state: ThermoState, tol: float = DEFAULT_TOL,
@@ -355,21 +304,16 @@ def stationary_scalars(qmag: float, state: ThermoState, tol: float = DEFAULT_TOL
         if surf < p_top:
             edges.insert(1, surf)
 
-    def over_energy(p):
-        p = np.asarray(p, dtype=float)
+    def integrands(p):
         w = np.sqrt(1.0 + p * p)
-        return fermi_occupation(w, state) / w
+        occ = fermi_occupation(w, state)
+        return np.array((occ / w, occ * (1.0 + 1.5 * p * p) / w))
 
-    def screening(p):
-        p = np.asarray(p, dtype=float)
-        w = np.sqrt(1.0 + p * p)
-        return fermi_occupation(w, state) * (1.0 + 1.5 * p * p) / w
-
-    ra = adaptive_panels(over_energy, edges, tol=tol)
-    rs = adaptive_panels(screening, edges, tol=tol)
-    a_star = -(e2 / (6.0 * _PI2)) * ra.value
-    mass2 = (e2 / _PI2) * rs.value
-    err = (e2 / (6.0 * _PI2)) * ra.errEst + (e2 / _PI2) * rs.errEst / qmag**2
+    res = adaptive_panels(integrands, edges, tol=tol)
+    (over_energy, screening), (err_a, err_s) = res.value.tolist(), res.errEst.tolist()
+    a_star = -(e2 / (6.0 * _PI2)) * over_energy
+    mass2 = (e2 / _PI2) * screening
+    err = (e2 / (6.0 * _PI2)) * err_a + (e2 / _PI2) * err_s / qmag**2
     return StationaryResult(a_star, mass2 / qmag**2, err)
 
 
@@ -460,14 +404,15 @@ def scalar_triple(kin: Kinematics, state: ThermoState,
         amp = _amp_from_moments(a, mi, state.e2)
         b_star = (b * b) / (a * a) * w
         d_star = amp - b_star - 1.5 * ((a * a - b * b) / (a * a)) * w
-        err = mi.errEst * (state.e2 / _PI2) * (1.0 + 1.0 / (a * a))
+        # the expansion drops terms of relative order (b/a^2)^2
+        truncation = (b / (a * a)) ** 2 * max(abs(amp), abs(w))
+        err = mi.errEst * (state.e2 / _PI2) * (1.0 + 1.0 / (a * a)) + truncation
         return ScalarTriple(amp, b_star, c_star, d_star, errEst=err, regime=reg,
                             cStarRatio=c_ratio, longwaveW=w)
 
-    rb = medium_B_full(kin, state, tol=tol)
-    rd = medium_D_full(kin, state, tol=tol)
+    res = _medium_integrals(kin, state, tol)
+    (b_star, d_star), (err_b, err_d) = res.value.tolist(), res.errEst.tolist()
     factor = 1.0 + 1.5 * kin.qm2 / kin.qmag**2
-    a_star = rd.value + factor * rb.value
-    err = rd.errEst + (1.0 + abs(factor)) * rb.errEst
-    return ScalarTriple(a_star, rb.value, c_star, rd.value, errEst=err,
+    return ScalarTriple(d_star + factor * b_star, b_star, c_star, d_star,
+                        errEst=err_d + (1.0 + abs(factor)) * err_b,
                         regime=reg, cStarRatio=c_ratio)

@@ -182,6 +182,11 @@ class TestSweep:
                                      "--omega", "4.2", "--q", "0.1"])
         assert rc == 2
 
+    def test_zero_omega_and_q_rejected_up_front(self, tmp_path):
+        rc, _ = run_sweep(tmp_path, ["--t", "0", "--zeta", "2",
+                                     "--omega", "0,0.1", "--q", "0,0.05"])
+        assert rc == 2
+
     def test_negative_axis_rejected(self, tmp_path):
         rc, _ = run_sweep(tmp_path, ["--t", "-1", "--zeta", "2",
                                      "--omega", "0", "--q", "0.002"])

@@ -11,6 +11,7 @@ from relplasma.quadrature import (
     IntegralResult,
     NonConvergence,
     adaptive_panels,
+    fermi_x_cut,
     integrate_semi_infinite,
     locate_log_singularities,
 )
@@ -58,9 +59,10 @@ class TestIntegrateSemiInfinite:
     def test_warm_tail_truncation_stable(self):
         warm = ThermoState(t=0.3, zeta=1.5)
         f = weighted(lambda x: x * x, warm)
-        base = integrate_semi_infinite(f, warm, Breakpoints(), tol=1e-9)
-        longer = integrate_semi_infinite(f, warm, Breakpoints(), tol=1e-9,
-                                         x_cut_scale=1.5)
+        x_cut = fermi_x_cut(warm, 1e-9)
+        base = adaptive_panels(f, [1.0, x_cut], tol=1e-9)
+        longer = adaptive_panels(f, [1.0, warm.zeta + 1.5 * (x_cut - warm.zeta)],
+                                 tol=1e-9)
         assert abs(base.value - longer.value) < 1e-9
 
     def test_refinement_consistency(self):
@@ -100,6 +102,25 @@ class TestAdaptivePanels:
     def test_edges_split_domain(self):
         res = adaptive_panels(lambda p: np.exp(-p), [0.0, 1.0, 30.0], tol=1e-12)
         assert res.value == pytest.approx(1.0 - math.exp(-30.0), rel=1e-12)
+
+    def test_scalar_integrand_gives_floats(self):
+        res = adaptive_panels(np.sin, [0.0, math.pi], tol=1e-12)
+        assert type(res.value) is float and type(res.errEst) is float
+
+    def test_vector_components_match_separate_integrals(self):
+        # one smooth, one log-singular at an edge, one sharp warm Fermi step
+        warm = ThermoState(t=0.01, zeta=1.5)
+        parts = [np.sqrt,
+                 lambda x: np.log(np.abs(x - 1.5)),
+                 lambda x: fermi_occupation(x, warm) * x]
+        edges = [1.0, 1.5, 2.5]
+        joint = adaptive_panels(lambda x: np.array([g(x) for g in parts]),
+                                edges, tol=1e-10)
+        assert joint.value.shape == joint.errEst.shape == (3,)
+        assert np.all(joint.errEst <= 1e-10)
+        for g, value, err in zip(parts, joint.value, joint.errEst):
+            alone = adaptive_panels(g, edges, tol=1e-10)
+            assert abs(value - alone.value) <= err + alone.errEst
 
 
 class TestLocateLogSingularities:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relplasma.core import (
     E2_DEFAULT,
@@ -147,3 +149,25 @@ class TestConstitutiveTensors:
         r = ResponseSet(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             constitutive_tensors(r, np.zeros(3))
+
+
+class TestLongwaveErrorBudget:
+    @given(zeta=st.floats(1.2, 5.0), t=st.sampled_from((0.0, 0.01)),
+           log_a=st.floats(math.log10(2.5e-3), math.log10(0.25)),
+           log_b=st.floats(-4.0, -3.0, exclude_max=True))
+    @settings(max_examples=60, deadline=None)
+    def test_auto_route_within_reported_error(self, zeta, t, log_a, log_b):
+        # a/b stays below 2500: further out the forced full route loses more
+        # digits of aStar to the longitudinal cancellation than it reports
+        state = ThermoState(t=t, zeta=zeta)
+        kin = make_kinematics(2 * 10**log_a, 2 * 10**log_b)
+        auto = scalar_triple(kin, state)
+        assert auto.regime is Regime.LongWavelength
+        full = scalar_triple(kin, state, regime=Regime.FullKinematics, tol=1e-11)
+        got, ref = assemble_responses(auto, kin), assemble_responses(full, kin)
+        pairs = {name: (getattr(auto, name), getattr(full, name))
+                 for name in ("aStar", "bStar", "dStar")}
+        pairs.update(eps=(got.eps, ref.eps), muInv=(got.muInv, ref.muInv))
+        for name, (g, r) in pairs.items():
+            allowance = auto.errEst + full.errEst + 1e-7 + 1e-7 * abs(r)
+            assert abs(g - r) <= allowance, name

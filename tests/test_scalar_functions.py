@@ -7,11 +7,11 @@ from scipy.integrate import quad
 from relplasma.core import E2_DEFAULT, Regime, ThermoState, make_kinematics
 from relplasma.scalar_functions import (
     LightConeSingular,
+    _f1_values,
+    _f2_values,
     drude_scalars,
-    log_kernels,
     longwave_A,
     longwave_B,
-    medium_A_full,
     medium_B_full,
     medium_D_full,
     moment_integrals,
@@ -78,11 +78,20 @@ class TestVacuumC:
         assert vacuum_C(-0.5, 2 * E2) == pytest.approx(2 * vacuum_C(-0.5, E2), rel=1e-14)
 
 
+def f1_at(x, kin):
+    x = np.array([x], dtype=float)
+    return _f1_values(x, np.sqrt(x * x - 1.0), kin.a, kin.b)[0]
+
+
+def full_a_star(kin, state, tol):
+    return scalar_triple(kin, state, regime=Regime.FullKinematics, tol=tol).aStar
+
+
 class TestLogKernels:
     def test_f2_vanishes_at_zero_frequency(self):
         kin = make_kinematics(0.0, 1.0)
-        for x in (1.1, 1.7, 3.0):
-            assert log_kernels(x, kin).f2 == 0.0
+        x = np.array([1.1, 1.7, 3.0])
+        assert np.all(_f2_values(x, np.sqrt(x * x - 1), kin.a, kin.b) == 0.0)
 
     def test_f1_matches_direct_term_sum(self):
         kin = make_kinematics(2.0, 1.0)  # a=1, b=0.5
@@ -93,7 +102,7 @@ class TestLogKernels:
                   - math.log(abs(-a * x + b * s + g))
                   + math.log(abs(a * x - b * s + g))
                   + math.log(abs(-a * x - b * s + g)))
-        assert log_kernels(x, kin).f1 == pytest.approx(direct, rel=1e-14)
+        assert f1_at(x, kin) == pytest.approx(direct, rel=1e-14)
 
     def test_f1_small_wavevector_leading_order(self):
         a, x = 0.3, 1.7
@@ -101,16 +110,7 @@ class TestLogKernels:
         kin = make_kinematics(2 * a, 2 * b)
         s = math.sqrt(x * x - 1)
         lead = 4 * b * s / (x * x - a * a)
-        assert log_kernels(x, kin).f1 == pytest.approx(lead, rel=1e-8)
-
-    def test_breakpoint_gives_sentinel(self):
-        kin = make_kinematics(0.0, 1.0)  # argument zero at x = sqrt(1.25)
-        res = log_kernels(math.sqrt(1.25), kin)
-        assert math.isnan(res.f1)
-
-    def test_requires_positive_wavevector(self):
-        with pytest.raises(ValueError):
-            log_kernels(1.5, make_kinematics(0.4, 0.0))
+        assert f1_at(x, kin) == pytest.approx(lead, rel=1e-8)
 
 
 class TestMomentIntegrals:
@@ -168,7 +168,7 @@ class TestMediumFullKinematics:
         empty = ThermoState(t=0.0, zeta=1.0)
         assert medium_B_full(kin, empty).value == 0.0
         assert medium_D_full(kin, empty).value == 0.0
-        assert medium_A_full(kin, empty).value == 0.0
+        assert full_a_star(kin, empty, tol=1e-9) == 0.0
 
     def test_damped_point_frozen_values(self):
         # four log zeros sit inside the Fermi sea at this point
@@ -177,12 +177,12 @@ class TestMediumFullKinematics:
             1.940494251631e-2, rel=1e-9)
         assert medium_D_full(kin, COLD2, tol=1e-12).value == pytest.approx(
             8.281699349846e-3, rel=1e-9)
-        assert medium_A_full(kin, COLD2, tol=1e-12).value == pytest.approx(
+        assert full_a_star(kin, COLD2, tol=1e-12) == pytest.approx(
             -6.122326367983e-4, rel=1e-6)
 
     def test_static_limit_frozen_value(self):
         kin = make_kinematics(0.0, 2e-3)
-        got = medium_A_full(kin, COLD2, tol=1e-12).value
+        got = full_a_star(kin, COLD2, tol=1e-12)
         assert got == pytest.approx(-2.0399053246e-3, rel=1e-7)
         closed = -(E2 / (6 * PI2)) * math.acosh(2.0)
         assert got == pytest.approx(closed, rel=1e-3)
@@ -198,12 +198,16 @@ class TestMediumFullKinematics:
         kin = make_kinematics(2 * a, 2 * b)
         # the longitudinal combination amplifies the transverse error by
         # ~(a/b)^2 here, so the closed-form limit is the sharper oracle
-        got = medium_A_full(kin, COLD2, tol=1e-12).value
+        got = full_a_star(kin, COLD2, tol=1e-12)
         assert got == pytest.approx(longwave_A(a, COLD2), rel=1e-4)
 
     def test_light_cone_guard(self):
         with pytest.raises(LightConeSingular):
             medium_B_full(make_kinematics(1.0, 1.0), COLD2)
+
+    def test_requires_positive_wavevector(self):
+        with pytest.raises(ValueError):
+            medium_B_full(make_kinematics(0.4, 0.0), COLD2)
 
 
 class TestStationary:
