@@ -20,7 +20,7 @@ from .scalar_functions import (DrudeResult, LightConeSingular,
                                MomentIntegrals, StationaryResult,
                                drude_scalars, longwave_A, longwave_B,
                                medium_B_full, medium_D_full, moment_integrals,
-                               scalar_triple, select_regime,
+                               scalar_triple, scalar_triples, select_regime,
                                stationary_scalars, vacuum_C)
 
 __version__ = "0.1.0"
@@ -52,6 +52,7 @@ __all__ = [
     "drude_scalars",
     "select_regime",
     "scalar_triple",
+    "scalar_triples",
     "assemble_responses",
     "evaluate_point",
     "susceptibilities",

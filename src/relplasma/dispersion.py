@@ -2,8 +2,11 @@
 
 The mode condition couples the wavevector back into the responses, so the
 self-consistent solver scans a wavevector grid, brackets sign changes of the
-residual, and polishes each root.  A long-wavelength mode solves the same
-condition with the q = 0 responses, where it reduces to a square root.
+residual, and polishes each root.  The scan evaluates the whole grid at once:
+its full-kinematics quadratures run side by side, one integrand call per
+refinement round (``scalar_triples``); the polish evaluates one point at a
+time.  A long-wavelength mode solves the same condition with the q = 0
+responses, where it reduces to a square root.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from scipy.optimize import brentq
 from .core import ThermoState, make_kinematics
 from .limits import thomas_fermi_mass2
 from .quadrature import DEFAULT_TOL, NonConvergence
-from .response import evaluate_point
-from .scalar_functions import LightConeSingular
+from .response import assemble_responses, evaluate_point
+from .scalar_functions import LightConeSingular, scalar_triples
 
 # below this the permeability is effectively singular and the point is skipped
 MU_INV_GUARD = 1e-12
@@ -58,6 +61,36 @@ def _default_response(state: ThermoState, tol: float):
     return fn
 
 
+def _grid_responses(omega: float, qs, state: ThermoState, tol: float) -> list:
+    """(eps, muInv, tau) at every q, or the point's typed exception in its place.
+
+    One scalar_triples call serves the whole grid, so the full-kinematics
+    points share their quadrature rounds.
+    """
+    kins = [make_kinematics(omega, float(q)) for q in qs]
+    out = []
+    for kin, tr in zip(kins, scalar_triples(kins, state, tol=tol)):
+        if isinstance(tr, Exception):
+            out.append(tr)
+        else:
+            r = assemble_responses(tr, kin)
+            out.append((r.eps, r.muInv, r.tau))
+    return out
+
+
+def _residual(omega: float, q: float, resp) -> float | None:
+    """Mode-condition residual, or None where the response is unavailable."""
+    if isinstance(resp, Exception):
+        return None
+    eps, mu_inv, tau = resp
+    if not all(map(math.isfinite, (eps, mu_inv, tau))):
+        return None
+    if abs(mu_inv) < MU_INV_GUARD:
+        return None
+    mu = 1.0 / mu_inv
+    return q * q - mu * eps * omega * omega + 2.0 * mu * tau * omega * q
+
+
 def solve_dispersion(omega: float, state: ThermoState,
                      mode: DispersionMode | str = DispersionMode.SelfConsistent,
                      response_fn=None, tol: float = DEFAULT_TOL,
@@ -66,9 +99,12 @@ def solve_dispersion(omega: float, state: ThermoState,
 
     response_fn(omega, qmag) -> (eps, muInv, tau) overrides the internal
     evaluation; grid points where it raises or sits on a permeability pole
-    are skipped rather than fatal.  Bracketed sign changes that cannot be
-    polished down to POLE_FILTER are pole crossings, not modes, and are
-    dropped.  No root is reported as an empty tuple.
+    are skipped rather than fatal.  Without it the scan evaluates the whole
+    wavevector grid in one ``scalar_triples`` call; either way every grid
+    value goes through the same residual.  Each bracketed sign change is
+    polished point by point with brentq; those that cannot be polished down
+    to POLE_FILTER are pole crossings, not modes, and are dropped.  No root
+    is reported as an empty tuple.
     """
     if omega <= 0.0 or not math.isfinite(omega):
         raise ValueError("solve_dispersion requires omega > 0")
@@ -87,17 +123,14 @@ def solve_dispersion(omega: float, state: ThermoState,
         residual = abs(q * q - ratio * omega * omega)
         return DispersionSolution(omega, (q,), (n,), residual, mode.value)
 
-    def residual_fn(q: float):
+    def response_at(q: float):
         try:
-            eps, mu_inv, tau = fn(omega, q)
-        except (LightConeSingular, NonConvergence, ValueError):
-            return None
-        if not all(map(math.isfinite, (eps, mu_inv, tau))):
-            return None
-        if abs(mu_inv) < MU_INV_GUARD:
-            return None
-        mu = 1.0 / mu_inv
-        return q * q - mu * eps * omega * omega + 2.0 * mu * tau * omega * q
+            return fn(omega, q)
+        except (LightConeSingular, NonConvergence, ValueError) as exc:
+            return exc
+
+    def residual_fn(q: float) -> float | None:
+        return _residual(omega, q, response_at(q))
 
     def strict_residual(q: float) -> float:
         v = residual_fn(q)
@@ -106,43 +139,44 @@ def solve_dispersion(omega: float, state: ThermoState,
         return v
 
     q_max = 10.0 * omega + 10.0 * math.sqrt(thomas_fermi_mass2(state, tol=tol))
-    grid = np.linspace(q_max / n_grid, q_max, n_grid)
-    vals = [residual_fn(float(q)) for q in grid]
+    grid = np.linspace(q_max / n_grid, q_max, n_grid).tolist()
+    if response_fn is None:
+        responses = _grid_responses(omega, grid, state, tol)
+    else:
+        responses = [response_at(q) for q in grid]
+    vals = [_residual(omega, q, r) for q, r in zip(grid, responses)]
 
-    roots: list[float] = []
+    # (root, |residual| there)
+    roots: list[tuple[float, float]] = []
     for i in range(n_grid - 1):
         r1, r2 = vals[i], vals[i + 1]
         if r1 is None or r2 is None:
             continue
         if r1 == 0.0:
-            roots.append(float(grid[i]))
+            roots.append((grid[i], 0.0))
             continue
         if r1 * r2 < 0.0:
             try:
-                root = brentq(strict_residual, float(grid[i]), float(grid[i + 1]),
+                root = brentq(strict_residual, grid[i], grid[i + 1],
                               xtol=1e-14, rtol=1e-14)
             except (RuntimeError, ValueError):
                 continue
             check = residual_fn(float(root))
             if check is None or abs(check) > POLE_FILTER:
                 continue
-            roots.append(float(root))
+            roots.append((float(root), abs(check)))
     if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+        roots.append((grid[-1], 0.0))
 
     roots.sort()
-    unique: list[float] = []
-    for q in roots:
-        if not unique or q - unique[-1] > 1e-9 * q_max:
-            unique.append(q)
-
-    worst = 0.0
-    for q in unique:
-        check = residual_fn(q)
-        if check is not None:
-            worst = max(worst, abs(check))
-    return DispersionSolution(omega, tuple(unique),
-                              tuple(q / omega for q in unique), worst, mode.value)
+    unique: list[tuple[float, float]] = []
+    for q, res in roots:
+        if not unique or q - unique[-1][0] > 1e-9 * q_max:
+            unique.append((q, res))
+    qs = tuple(q for q, _ in unique)
+    worst = max((res for _, res in unique), default=0.0)
+    return DispersionSolution(omega, qs, tuple(q / omega for q in qs), worst,
+                              mode.value)
 
 
 def negative_index_scan(state: ThermoState, omegaMin: float, omegaMax: float,

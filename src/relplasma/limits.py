@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .core import E2_DEFAULT, ThermoState, make_kinematics
+from .core import E2_DEFAULT, Regime, ThermoState, make_kinematics
 from .quadrature import DEFAULT_TOL
 from .response import assemble_responses
 from .scalar_functions import moment_integrals, scalar_triple, stationary_scalars
@@ -24,6 +24,10 @@ _PI2 = math.pi**2
 
 # quasiparticle energies p^2/2 only hold well below these scales
 NR_WINDOW = 0.1
+
+# the q = 0 responses are real only below the pair threshold omega = 2; the
+# permittivity bracket stops this far short of it
+OMEGA_Q0_MAX = 2.0 - 1e-6
 
 
 class RootNotBracketed(RuntimeError):
@@ -136,8 +140,9 @@ def plasmon_frequency(state: ThermoState,
 
     The first value is the closed-form plasma scale from the occupation
     moments; the second is the zero of the assembled permittivity at qmag = 0,
-    found inside the bracket [omegaE / 2, 2 omegaE].  Raises RootNotBracketed
-    when the bracket holds no sign change (empty sea included).
+    found inside the bracket [omegaE / 2, 2 omegaE], cut at OMEGA_Q0_MAX below
+    the pair threshold.  Raises RootNotBracketed when the bracket holds no
+    sign change (empty sea included) or lies wholly above OMEGA_Q0_MAX.
     """
     mi = moment_integrals(0.0, state, tol=tol)
     ae2 = (state.e2 / (12.0 * _PI2)) * (2.0 * mi.i0 + mi.i1)
@@ -146,10 +151,15 @@ def plasmon_frequency(state: ThermoState,
     omega_e = 2.0 * math.sqrt(ae2)
 
     def eps_at(omega: float) -> float:
+        # at qmag = 0 the long-wavelength forms are exact for every omega < 2
         kin = make_kinematics(omega, 0.0)
-        return assemble_responses(scalar_triple(kin, state, tol=tol), kin).eps
+        return assemble_responses(
+            scalar_triple(kin, state, regime=Regime.LongWavelength, tol=tol), kin).eps
 
-    lo, hi = 0.5 * omega_e, 2.0 * omega_e
+    lo, hi = 0.5 * omega_e, min(2.0 * omega_e, OMEGA_Q0_MAX)
+    if lo >= hi:
+        raise RootNotBracketed(
+            f"bracket [{lo:.6g}, {2.0 * omega_e:.6g}] lies above the pair threshold")
     f_lo, f_hi = eps_at(lo), eps_at(hi)
     if f_lo == 0.0:
         return omega_e, lo

@@ -5,12 +5,22 @@ bisecting whichever panel carries the largest error estimate; panel edges are
 placed on every known zero of a logarithmic argument so the open Gauss-Kronrod
 nodes never touch a singular point.  An integrand may return k rows at once:
 all k components then share one panel tree and one evaluation per node.
+
+There is one engine, ``lockstep_panels``: it refines many independent
+integrals side by side.  Each integral keeps its own panel heap and takes
+exactly the steps it would take alone; each round gathers the panels every
+live integral needs (its initial panels, or the two halves of its worst
+panel) into one integrand call.  ``adaptive_panels`` is its one-integral
+case.  The panel sums are elementwise in the panels, so an integral's value,
+error estimate and panel count do not depend on what it was batched with.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, replace
+from operator import add, sub
 
 import numpy as np
 
@@ -18,6 +28,9 @@ from .core import Kinematics, ThermoState
 
 PANEL_BUDGET = 10_000
 DEFAULT_TOL = 1e-9
+# lockstep_panels keeps at most this many panel trees alive at once; a
+# finished integral frees its slot for the next one waiting
+LOCKSTEP_LIVE = 32
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1]; all nodes strictly interior.
 _XK_HALF = np.array([
@@ -72,25 +85,159 @@ class NonConvergence(RuntimeError):
         self.result = result
 
 
-def _panel(f, lo: float, hi: float):
-    """One Gauss-Kronrod pass: (kronrod value, error estimate) per component."""
+_EMPTY = IntegralResult(0.0, 0.0, 0, True)
+
+
+def _panels(f, lo: list, hi: list, owner: list):
+    """One Gauss-Kronrod pass over many panels in one integrand call.
+
+    Returns, per panel, its largest component error, its kronrod values and
+    its error estimates (lists of floats), and whether f returned one row.
+    """
+    lo, hi = np.array(lo), np.array(hi)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    fv = np.asarray(f(mid + half * _XK), dtype=float)
-    k = half * (fv @ _WK)
-    err = abs(k - half * (fv @ _WG))
-    finite = np.isfinite(k)
-    if not finite.all():
-        err = np.where(finite, err, math.inf)
-    return k, err
+    x = (mid[:, None] + half[:, None] * _XK).ravel()
+    fv = np.asarray(f(x, np.repeat(owner, _XK.size)), dtype=float)
+    scalar = fv.ndim == 1
+    fv = fv.reshape(-1, lo.size, _XK.size)
+    # einsum reduces each panel's 15 nodes on their own, so a panel's sums do
+    # not depend on the other panels of the call
+    val = half * np.einsum("kpn,n->kp", fv, _WK)
+    err = np.abs(val - half * np.einsum("kpn,n->kp", fv, _WG))
+    err[~np.isfinite(val)] = math.inf
+    return err.max(axis=0).tolist(), val.T.tolist(), err.T.tolist(), scalar
 
 
-def _totals(heap, frozen, converged: bool) -> IntegralResult:
-    value = sum(item[4] for item in heap) + sum(v for v, _ in frozen)
-    err = sum(item[5] for item in heap) + sum(e for _, e in frozen)
-    if np.ndim(value) == 0:
-        value, err = float(value), float(err)
-    return IntegralResult(value, err, len(heap) + len(frozen), converged)
+class _Tree:
+    """Panel heap and running error sums of one integral.
+
+    Heap items are (-largest component error, serial, lo, hi); the k
+    component values and errors of panel `serial` sit at
+    [serial * k, serial * k + k) of two flat float arrays, which keeps a tree
+    at a few hundred bytes per panel.
+    """
+
+    __slots__ = ("heap", "frozen", "vals", "errs", "k", "serial", "live_err",
+                 "frozen_err")
+
+    def __init__(self) -> None:
+        self.heap: list[tuple] = []
+        self.frozen: list[int] = []  # serials of panels at machine width
+        self.vals = array("d")
+        self.errs = array("d")
+        self.k = 0
+        self.serial = 0
+        self.live_err: list[float] = []
+        self.frozen_err: list[float] = []
+
+    def push(self, key: float, lo: float, hi: float, val: list, err: list) -> None:
+        if not self.k:
+            self.k = len(err)
+            self.live_err = [0.0] * self.k
+            self.frozen_err = [0.0] * self.k
+        heapq.heappush(self.heap, (-key, self.serial, lo, hi))
+        self.serial += 1
+        self.vals.extend(val)
+        self.errs.extend(err)
+        self.live_err = list(map(add, self.live_err, err))
+
+    def totals(self, converged: bool, scalar: bool) -> IntegralResult:
+        starts = [item[1] * self.k for item in self.heap]
+        starts += [s * self.k for s in self.frozen]
+        value = [math.fsum(self.vals[s + c] for s in starts) for c in range(self.k)]
+        err = [math.fsum(self.errs[s + c] for s in starts) for c in range(self.k)]
+        if scalar:
+            return IntegralResult(value[0], err[0], len(starts), converged)
+        return IntegralResult(np.array(value), np.array(err), len(starts), converged)
+
+    def advance(self, tol: float, budget: int, scalar: bool):
+        """Pop panels until one is due for bisection and return its (lo, hi).
+
+        Returns the finished IntegralResult, or a NonConvergence, instead once
+        every component's summed error is within tol or the budget runs out.
+        """
+        heap, frozen, k = self.heap, self.frozen, self.k
+        while heap and max(map(add, self.live_err, self.frozen_err)) > tol:
+            if len(heap) + len(frozen) >= budget:
+                res = self.totals(False, scalar)
+                return NonConvergence(
+                    res, f"budget of {budget} panels exhausted, errEst "
+                    f"{np.max(res.errEst):.3e} > tol {tol:.3e}")
+            _, serial, lo, hi = heapq.heappop(heap)
+            err = self.errs[serial * k:serial * k + k]
+            self.live_err = list(map(sub, self.live_err, err))
+            # stop well above machine width: thinner panels would let rounding
+            # push open-rule nodes onto a singular edge
+            if hi - lo < 1e-13 * max(1.0, abs(lo), abs(hi)):
+                frozen.append(serial)
+                self.frozen_err = list(map(add, self.frozen_err, err))
+                continue
+            return lo, hi
+        res = self.totals(True, scalar)
+        if np.max(res.errEst) > tol:
+            return NonConvergence(
+                replace(res, converged=False),
+                f"all panels at machine width, errEst {np.max(res.errEst):.3e} "
+                f"> tol {tol:.3e}")
+        return res
+
+
+def lockstep_panels(f, edge_lists, tol: float = DEFAULT_TOL,
+                    budget: int = PANEL_BUDGET) -> list:
+    """Integrate many functions side by side, one integrand call per round.
+
+    Integral i runs over [edges[0], edges[-1]] of edge_lists[i], with initial
+    splits at every edge.  f(x, owner) receives the concatenated abscissae of
+    one round and, per abscissa, the index i of the integral it belongs to; it
+    must act elementwise and return shape (n,), or (k, n) for k components on
+    one shared panel tree (k the same for every integral).  Each integral is
+    refined exactly as ``adaptive_panels`` refines it alone.  At most
+    LOCKSTEP_LIVE panel trees are alive at once.
+
+    Returns one entry per integral: its IntegralResult, or the NonConvergence
+    it would raise alone, in its place; a failing integral does not disturb
+    the others.
+    """
+    if tol <= 0.0:
+        raise ValueError("tolerance must be positive")
+    results: list = [None] * len(edge_lists)
+    waiting = enumerate(edge_lists)
+    trees: dict[int, _Tree] = {}
+    scalar = True
+    while True:
+        lo: list[float] = []
+        hi: list[float] = []
+        owner: list[int] = []
+        for i, tree in list(trees.items()):
+            step = tree.advance(tol, budget, scalar)
+            if isinstance(step, tuple):
+                plo, phi = step
+                mid = 0.5 * (plo + phi)
+                lo += (plo, mid)
+                hi += (mid, phi)
+                owner += (i, i)
+            else:
+                results[i] = step
+                del trees[i]
+        while len(trees) < LOCKSTEP_LIVE:
+            i, edges = next(waiting, (None, None))
+            if i is None:
+                break
+            edges = sorted(set(float(e) for e in edges))
+            if len(edges) < 2:
+                # with no panel to integrate the result is a scalar zero
+                results[i] = _EMPTY
+                continue
+            trees[i] = _Tree()
+            lo += edges[:-1]
+            hi += edges[1:]
+            owner += [i] * (len(edges) - 1)
+        if not lo:
+            return results
+        keys, vals, errs, scalar = _panels(f, lo, hi, owner)
+        for j, i in enumerate(owner):
+            trees[i].push(keys[j], lo[j], hi[j], vals[j], errs[j])
 
 
 def adaptive_panels(f, edges, tol: float = DEFAULT_TOL,
@@ -101,55 +248,33 @@ def adaptive_panels(f, edges, tol: float = DEFAULT_TOL,
     (k, n) for k integrands on one shared panel tree.  The panel whose largest
     component error is biggest is bisected first, until every component's
     summed error estimate is at most tol, so each component meets the
-    tolerance it would meet as a separate integral.  With no panel to
-    integrate the result is a scalar zero.  Raises NonConvergence when the
-    panel budget runs out first.
+    tolerance it would meet as a separate integral.  Both halves of a bisected
+    panel, and all initial panels, are evaluated in one call of f.  With no
+    panel to integrate the result is a scalar zero.  Raises NonConvergence
+    when the panel budget runs out first.  This is the one-integral case of
+    ``lockstep_panels``.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    edges = sorted(set(float(e) for e in edges))
-    # heap items: (-largest component error, serial, lo, hi, value, error)
-    heap: list[tuple] = []
-    frozen: list[tuple] = []  # (value, error) of panels at machine width
-    serial = 0
-    live_err = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        val, err = _panel(f, lo, hi)
-        heapq.heappush(heap, (-err.max(), serial, lo, hi, val, err))
-        live_err += err
-        serial += 1
-    if not heap:
-        return IntegralResult(0.0, 0.0, 0, True)
-
-    frozen_err = 0.0
-    while heap and (live_err + frozen_err).max() > tol:
-        if len(heap) + len(frozen) >= budget:
-            res = _totals(heap, frozen, False)
-            raise NonConvergence(
-                res, f"budget of {budget} panels exhausted, errEst "
-                f"{np.max(res.errEst):.3e} > tol {tol:.3e}")
-        _, _, lo, hi, val, err = heapq.heappop(heap)
-        live_err -= err
-        mid = 0.5 * (lo + hi)
-        # stop well above machine width: thinner panels would let rounding push
-        # open-rule nodes onto a singular edge
-        if hi - lo < 1e-13 * max(1.0, abs(lo), abs(hi)):
-            frozen.append((val, err))
-            frozen_err += err
-            continue
-        for plo, phi in ((lo, mid), (mid, hi)):
-            pval, perr = _panel(f, plo, phi)
-            heapq.heappush(heap, (-perr.max(), serial, plo, phi, pval, perr))
-            live_err += perr
-            serial += 1
-
-    res = _totals(heap, frozen, True)
-    if np.max(res.errEst) > tol:
-        raise NonConvergence(
-            replace(res, converged=False),
-            f"all panels at machine width, errEst {np.max(res.errEst):.3e} "
-            f"> tol {tol:.3e}")
+    res = lockstep_panels(lambda x, owner: f(x), [edges], tol=tol, budget=budget)[0]
+    if isinstance(res, NonConvergence):
+        raise res
     return res
+
+
+def semi_infinite_edges(state: ThermoState, breaks: Breakpoints,
+                        tol: float = DEFAULT_TOL) -> list[float]:
+    """Panel edges of an integral over x in [1, infinity): [] for an empty sea.
+
+    The state fixes the effective cutoff X_cut; breaks become panel edges.
+    """
+    x_cut = fermi_x_cut(state, tol)
+    if x_cut <= 1.0:
+        return []
+    edges = [1.0, x_cut]
+    edges += [p for p in breaks.points if 1.0 < p < x_cut]
+    if state.t > 0.0 and 1.0 < state.zeta < x_cut:
+        # seed the Fermi surface so sharp low-t transitions start resolved
+        edges.append(state.zeta)
+    return edges
 
 
 def fermi_x_cut(state: ThermoState, tol: float) -> float:
@@ -165,16 +290,11 @@ def integrate_semi_infinite(f, state: ThermoState, breaks: Breakpoints,
                             ) -> IntegralResult:
     """Integrate an already-Fermi-weighted integrand f over x in [1, infinity).
 
-    The state fixes the effective cutoff X_cut; breaks become panel edges.
+    The panel edges come from ``semi_infinite_edges``.
     """
-    x_cut = fermi_x_cut(state, tol)
-    if x_cut <= 1.0:
-        return IntegralResult(0.0, 0.0, 0, True)
-    edges = [1.0, x_cut]
-    edges += [p for p in breaks.points if 1.0 < p < x_cut]
-    if state.t > 0.0 and 1.0 < state.zeta < x_cut:
-        # seed the Fermi surface so sharp low-t transitions start resolved
-        edges.append(state.zeta)
+    edges = semi_infinite_edges(state, breaks, tol)
+    if not edges:
+        return _EMPTY
     return adaptive_panels(f, edges, tol=tol, budget=budget)
 
 

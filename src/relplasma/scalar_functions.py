@@ -20,10 +20,13 @@ from .quadrature import (
     PANEL_BUDGET,
     Breakpoints,
     IntegralResult,
+    NonConvergence,
     adaptive_panels,
     fermi_x_cut,
     integrate_semi_infinite,
+    lockstep_panels,
     locate_log_singularities,
+    semi_infinite_edges,
 )
 
 _PI2 = math.pi**2
@@ -105,38 +108,51 @@ def _f2_values(x, s, a: float, b: float):
 # finite-momentum (full kinematics) integrals
 
 
-def _medium_bracket(x, kin: Kinematics, state: ThermoState):
-    """Integrand rows of the transverse (B) and auxiliary (D) scalars."""
+def _medium_bracket(x, a, b, state: ThermoState):
+    """Integrand rows of the transverse (B) and auxiliary (D) scalars.
+
+    a and b are the halved frequency and wavevector: floats, or arrays giving
+    each node its own point.
+    """
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.maximum(x * x - 1.0, 0.0))
-    a, b = kin.a, kin.b
     occ = fermi_occupation(x, state)
     f1 = _f1_values(x, s, a, b)
     rows = np.empty((2, x.size))
     rows[0] = s + (x * x + a * a - b * b) / (4.0 * b) * f1
-    if a != 0.0:
+    if np.any(a != 0.0):
         rows[0] -= (a * x) / (2.0 * b) * _f2_values(x, s, a, b)
     rows[1] = s + (1.0 + 2.0 * a * a - 2.0 * b * b) / (8.0 * b) * f1
     rows *= occ
     return rows
 
 
-def _medium_integrals(kin: Kinematics, state: ThermoState, tol: float,
-                      budget: int = PANEL_BUDGET) -> IntegralResult:
-    """B and D at full kinematics from one quadrature on a shared panel tree."""
+def _medium_edges(kin: Kinematics, state: ThermoState, tol: float) -> list[float]:
+    """Panel edges of the full-kinematics integrals; raises where they fail."""
     if abs(kin.qm2) < LIGHTCONE_GUARD:
         raise LightConeSingular(
             f"qm2 = {kin.qm2:.3e} lies inside the light-cone guard band")
     if kin.qmag <= 0.0:
         raise ValueError("finite-momentum integrals need qmag > 0")
     breaks = locate_log_singularities(kin, x_max=fermi_x_cut(state, tol))
-    res = integrate_semi_infinite(lambda x: _medium_bracket(x, kin, state),
-                                  state, breaks, tol=tol, budget=budget)
+    return semi_infinite_edges(state, breaks, tol)
+
+
+def _medium_scaled(kin: Kinematics, state: ThermoState,
+                   res: IntegralResult) -> IntegralResult:
     pref = -(state.e2 / (4.0 * _PI2)) / (kin.a**2 - kin.b**2)
     # an empty sea has no panel and comes back as a scalar zero
     return IntegralResult(pref * np.broadcast_to(res.value, 2),
                           abs(pref) * np.broadcast_to(res.errEst, 2),
                           res.panels, res.converged)
+
+
+def _medium_integrals(kin: Kinematics, state: ThermoState, tol: float,
+                      budget: int = PANEL_BUDGET) -> IntegralResult:
+    """B and D at full kinematics from one quadrature on a shared panel tree."""
+    res = adaptive_panels(lambda x: _medium_bracket(x, kin.a, kin.b, state),
+                          _medium_edges(kin, state, tol), tol=tol, budget=budget)
+    return _medium_scaled(kin, state, res)
 
 
 def _row(res: IntegralResult, i: int) -> IntegralResult:
@@ -410,9 +426,47 @@ def scalar_triple(kin: Kinematics, state: ThermoState,
         return ScalarTriple(amp, b_star, c_star, d_star, errEst=err, regime=reg,
                             cStarRatio=c_ratio, longwaveW=w)
 
-    res = _medium_integrals(kin, state, tol)
+    return _full_triple(kin, c_ratio, _medium_integrals(kin, state, tol))
+
+
+def _full_triple(kin: Kinematics, c_ratio: float, res: IntegralResult) -> ScalarTriple:
     (b_star, d_star), (err_b, err_d) = res.value.tolist(), res.errEst.tolist()
     factor = 1.0 + 1.5 * kin.qm2 / kin.qmag**2
-    return ScalarTriple(d_star + factor * b_star, b_star, c_star, d_star,
+    return ScalarTriple(d_star + factor * b_star, b_star, c_ratio * kin.qm2, d_star,
                         errEst=err_d + (1.0 + abs(factor)) * err_b,
-                        regime=reg, cStarRatio=c_ratio)
+                        regime=Regime.FullKinematics, cStarRatio=c_ratio)
+
+
+def scalar_triples(kins: list[Kinematics], state: ThermoState,
+                   tol: float = DEFAULT_TOL) -> list:
+    """scalar_triple with automatic routing at many points at once.
+
+    Each entry is the point's ScalarTriple, or the typed exception
+    scalar_triple raises there (LightConeSingular, NonConvergence, ValueError)
+    in its place.  The full-kinematics points are integrated side by side by
+    ``lockstep_panels``, one integrand call per refinement round, and give the
+    same values as one scalar_triple call each; other routes are evaluated
+    point by point.
+    """
+    out: list = [None] * len(kins)
+    full: list[tuple[int, float, list[float]]] = []
+    for i, kin in enumerate(kins):
+        try:
+            if select_regime(kin, state) is not Regime.FullKinematics:
+                out[i] = scalar_triple(kin, state, tol=tol)
+                continue
+            c_ratio = vacuum_C_ratio(kin.qm2, state.e2)
+            full.append((i, c_ratio, _medium_edges(kin, state, tol)))
+        except (ValueError, NonConvergence) as exc:
+            out[i] = exc
+    a = np.array([kins[i].a for i, _, _ in full])
+    b = np.array([kins[i].b for i, _, _ in full])
+    results = lockstep_panels(
+        lambda x, owner: _medium_bracket(x, a[owner], b[owner], state),
+        [edges for _, _, edges in full], tol=tol)
+    for (i, c_ratio, _), res in zip(full, results):
+        if isinstance(res, NonConvergence):
+            out[i] = res
+        else:
+            out[i] = _full_triple(kins[i], c_ratio, _medium_scaled(kins[i], state, res))
+    return out

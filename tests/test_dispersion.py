@@ -1,19 +1,27 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from relplasma import scalar_functions
 from relplasma.core import ThermoState, make_kinematics
 from relplasma.dispersion import (
     BandReport,
     DispersionMode,
+    _grid_responses,
+    _residual,
     negative_index_scan,
     solve_dispersion,
 )
 from relplasma.limits import plasmon_frequency
+from relplasma.quadrature import DEFAULT_TOL
 from relplasma.response import evaluate_point
+from relplasma.scalar_functions import LightConeSingular
 
 COLD2 = ThermoState(t=0.0, zeta=2.0)
+CEILINGS = json.loads((Path(__file__).parent / "work_ceilings.json").read_text())
 
 
 def residual_at(omega, q, state):
@@ -94,6 +102,55 @@ class TestSelfConsistentMode:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             solve_dispersion(0.0, COLD2)
+
+
+class TestGridScan:
+    def test_grid_residuals_match_point_by_point(self):
+        omega = 0.1
+        # 0.1 sits on the light cone, 0.002 routes to the long-wave forms
+        qs = [0.002, 0.02, 0.05, 0.1, 0.15, 0.1752, 0.4, 1.3]
+        for state in (COLD2, ThermoState(t=0.05, zeta=2.0)):
+            responses = _grid_responses(omega, qs, state, DEFAULT_TOL)
+            for q, resp in zip(qs, responses):
+                got = _residual(omega, q, resp)
+                if q == omega:
+                    assert isinstance(resp, LightConeSingular) and got is None
+                    continue
+                _, r = evaluate_point(make_kinematics(omega, q), state)
+                assert resp == pytest.approx((r.eps, r.muInv, r.tau), rel=1e-13,
+                                             abs=1e-15)
+                assert got == pytest.approx(residual_at(omega, q, state),
+                                            rel=1e-13, abs=1e-15)
+
+
+class TestWorkCounters:
+    """Deterministic work counts against the ceilings in work_ceilings.json."""
+
+    def test_scan_integrand_work(self, monkeypatch):
+        calls = []
+        occupation = scalar_functions.fermi_occupation
+
+        def counted(x, state):
+            calls.append(1)
+            return occupation(x, state)
+
+        monkeypatch.setattr(scalar_functions, "fermi_occupation", counted)
+        sol = solve_dispersion(0.1, COLD2, n_grid=64)
+        assert len(sol.qroots) == 2
+        assert len(calls) <= CEILINGS["solve_dispersion.fermi_occupation_calls"]["ceiling"]
+
+    def test_response_evaluations_per_solve(self):
+        # n_grid scan points, the brentq polish, and one residual check per
+        # polished root
+        calls = []
+
+        def stub(w, q):
+            calls.append(q)
+            return (4.0, 1.0, 0.0)
+
+        sol = solve_dispersion(0.3, COLD2, response_fn=stub, n_grid=64)
+        assert len(sol.qroots) == 1
+        assert len(calls) <= CEILINGS["solve_dispersion.stub_response_evals"]["ceiling"]
 
 
 class TestNegativeIndexScan:

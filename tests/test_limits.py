@@ -139,3 +139,19 @@ class TestPlasmonFrequency:
     def test_empty_sea_has_no_root(self):
         with pytest.raises(RootNotBracketed):
             plasmon_frequency(ThermoState(t=0.0, zeta=1.0))
+
+    def test_hot_bracket_stops_below_pair_threshold(self):
+        # here 2 omegaE is above the pair threshold omega = 2, where the q = 0
+        # responses stop being real; the permittivity zero lies well below it
+        from relplasma.core import make_kinematics
+        from relplasma.response import evaluate_point
+        hot = ThermoState(t=10.0, zeta=0.0)
+        omega_e, omega_root = plasmon_frequency(hot)
+        assert 2.0 * omega_e > 2.0
+        assert 0.5 * omega_e < omega_root < 1.5
+        _, r = evaluate_point(make_kinematics(omega_root, 0.0), hot)
+        assert abs(r.eps) < 1e-10
+
+    def test_bracket_above_pair_threshold_is_typed(self):
+        with pytest.raises(RootNotBracketed):
+            plasmon_frequency(ThermoState(t=100.0, zeta=0.0))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relplasma import quadrature
 from relplasma.core import ThermoState, fermi_occupation, make_kinematics
 from relplasma.quadrature import (
     Breakpoints,
@@ -14,6 +15,7 @@ from relplasma.quadrature import (
     fermi_x_cut,
     integrate_semi_infinite,
     locate_log_singularities,
+    lockstep_panels,
 )
 
 COLD2 = ThermoState(t=0.0, zeta=2.0)
@@ -121,6 +123,101 @@ class TestAdaptivePanels:
         for g, value, err in zip(parts, joint.value, joint.errEst):
             alone = adaptive_panels(g, edges, tol=1e-10)
             assert abs(value - alone.value) <= err + alone.errEst
+
+
+def assert_same_integral(got, alone):
+    assert type(got.value) is type(alone.value)
+    assert got.panels == alone.panels and got.converged == alone.converged
+    np.testing.assert_allclose(got.value, alone.value, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(got.errEst, alone.errEst, rtol=1e-13, atol=0.0)
+
+
+# per-integral parameters: a log singularity at c (an edge or not) and a warm
+# Fermi step at temperature t, so the integrals need very different panel counts
+CENTERS = np.array([1.2, 1.5, 1.9, 2.3, 1.05, 1.37])
+TEMPS = np.array([0.3, 0.01, 0.002, 0.05, 0.1, 0.02])
+EDGES = [[1.0, 1.2, 2.5], [1.0, 1.5, 2.5], [1.9, 1.0, 2.5, 1.9],
+         [1.0, 2.3, 2.5], [1.0, 1.05, 2.5], [1.0, 2.5]]
+
+
+def _rows(x, c, t):
+    step = 1.0 / (1.0 + np.exp((x - 1.7) / t))
+    return np.array((np.sqrt(x), np.log(np.abs(x - c)) * x, step * x * x))
+
+
+class TestLockstepPanels:
+    def test_scalar_integrals_match_separate_runs(self):
+        res = lockstep_panels(
+            lambda x, i: np.log(np.abs(x - CENTERS[i])) * np.sqrt(x), EDGES,
+            tol=1e-11)
+        assert len({r.panels for r in res}) > 1
+        for c, edges, got in zip(CENTERS, EDGES, res):
+            alone = adaptive_panels(lambda x: np.log(np.abs(x - c)) * np.sqrt(x),
+                                    edges, tol=1e-11)
+            assert_same_integral(got, alone)
+
+    def test_vector_integrals_match_separate_runs(self):
+        res = lockstep_panels(lambda x, i: _rows(x, CENTERS[i], TEMPS[i]), EDGES,
+                              tol=1e-10)
+        for c, t, edges, got in zip(CENTERS, TEMPS, EDGES, res):
+            alone = adaptive_panels(lambda x: _rows(x, c, t), edges, tol=1e-10)
+            assert got.value.shape == (3,)
+            assert_same_integral(got, alone)
+
+    def test_empty_integral_is_scalar_zero(self):
+        res = lockstep_panels(lambda x, i: _rows(x, CENTERS[i], TEMPS[i]),
+                              [EDGES[0], [], [2.0, 2.0], EDGES[3]], tol=1e-10)
+        for got in res[1:3]:
+            assert got == IntegralResult(0.0, 0.0, 0, True)
+        assert_same_integral(res[3], adaptive_panels(
+            lambda x: _rows(x, CENTERS[3], TEMPS[3]), EDGES[3], tol=1e-10))
+
+    def test_budget_failure_stays_with_its_integral(self):
+        # the log singularity at 1.37 is not an edge: it alone needs more
+        # than 12 panels, the polynomials need one each
+        centers = [1.37, 0.0, 0.0]
+
+        def f(x, i):
+            return np.where(i == 0, np.log(np.abs(x - 1.37)), x * x)
+
+        res = lockstep_panels(f, [[1.0, 2.0]] * 3, tol=1e-12, budget=12)
+        with pytest.raises(NonConvergence) as alone:
+            adaptive_panels(lambda x: np.log(np.abs(x - centers[0])), [1.0, 2.0],
+                            tol=1e-12, budget=12)
+        assert isinstance(res[0], NonConvergence)
+        assert str(res[0]) == str(alone.value)
+        assert_same_integral(res[0].result, alone.value.result)
+        for got in res[1:]:
+            assert got.converged and got.value == pytest.approx(7.0 / 3.0, rel=1e-14)
+
+    def test_one_integrand_call_per_round(self):
+        calls = []
+
+        def f(x, i):
+            calls.append(np.unique(i).size)
+            return np.log(np.abs(x - CENTERS[i])) * np.sqrt(x)
+
+        res = lockstep_panels(f, EDGES, tol=1e-11)
+        # a round bisects one panel of every live integral: an integral with
+        # n initial panels is done after panels - n rounds
+        initial = [len(set(e)) - 1 for e in EDGES]
+        assert len(calls) == 1 + max(r.panels - n for r, n in zip(res, initial))
+        assert calls[0] == len(EDGES)
+
+    def test_live_trees_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "LOCKSTEP_LIVE", 2)
+        live = []
+
+        def f(x, i):
+            live.append(np.unique(i).size)
+            return np.log(np.abs(x - CENTERS[i])) * np.sqrt(x)
+
+        res = lockstep_panels(f, EDGES, tol=1e-11)
+        assert max(live) == 2
+        for c, edges, got in zip(CENTERS, EDGES, res):
+            alone = adaptive_panels(lambda x: np.log(np.abs(x - c)) * np.sqrt(x),
+                                    edges, tol=1e-11)
+            assert_same_integral(got, alone)
 
 
 class TestLocateLogSingularities:

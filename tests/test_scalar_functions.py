@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from relplasma.core import E2_DEFAULT, Regime, ThermoState, make_kinematics
+from relplasma.quadrature import NonConvergence
 from relplasma.scalar_functions import (
     LightConeSingular,
     _f1_values,
@@ -16,6 +17,7 @@ from relplasma.scalar_functions import (
     medium_D_full,
     moment_integrals,
     scalar_triple,
+    scalar_triples,
     select_regime,
     sigma_helper,
     stationary_scalars,
@@ -348,3 +350,38 @@ class TestScalarTriple:
         assert tr.regime is Regime.FullKinematics
         lw = scalar_triple(kin, COLD2)
         assert tr.aStar == pytest.approx(lw.aStar, rel=1e-3)
+
+
+class TestScalarTriples:
+    FIELDS = ("aStar", "bStar", "cStar", "dStar", "errEst", "cStarRatio")
+
+    def test_grid_matches_point_by_point(self):
+        # full kinematics at t = 0 and t > 0 on both sides of the light cone,
+        # a long-wave point, a light-cone point and one above the pair threshold
+        warm = ThermoState(t=0.05, zeta=1.5)
+        points = [(0.1, 0.02), (0.1, 0.3), (0.2, 1.2), (0.1, 2e-4), (0.3, 0.3),
+                  (2.5, 0.1), (1.0, 0.4), (0.05, 1.9)]
+        for state in (COLD2, warm):
+            kins = [make_kinematics(w, q) for w, q in points]
+            grid = scalar_triples(kins, state)
+            assert len(grid) == len(kins)
+            for kin, got in zip(kins, grid):
+                try:
+                    want = scalar_triple(kin, state)
+                except ValueError as exc:
+                    assert type(got) is type(exc) and str(got) == str(exc)
+                    continue
+                assert got.regime is want.regime
+                for name in self.FIELDS:
+                    assert getattr(got, name) == pytest.approx(
+                        getattr(want, name), rel=1e-13, abs=0.0), name
+            assert isinstance(grid[4], LightConeSingular)
+            assert type(grid[5]) is ValueError
+            assert grid[3].regime is Regime.LongWavelength
+
+    def test_nonconvergence_comes_back_in_place(self):
+        kins = [make_kinematics(0.2, 1.2), make_kinematics(0.1, 0.3)]
+        grid = scalar_triples(kins, COLD2, tol=1e-300)
+        for got in grid:
+            assert isinstance(got, NonConvergence)
+            assert not got.result.converged
