@@ -17,7 +17,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import E2_DEFAULT, Regime, ThermoState, make_kinematics
 from .dispersion import DispersionMode, negative_index_scan, solve_dispersion
@@ -230,6 +229,9 @@ def check_moment_derivative() -> CheckResult:
 
 def _spectral_vacuum_C(q2: float, e2: float) -> float:
     """Once-subtracted dispersion integral over the pair continuum, s >= 4."""
+    # imported here so that importing relplasma does not load scipy
+    from scipy.integrate import quad
+
     def density(s: float) -> float:
         return (e2 / (12.0 * math.pi)) * (1.0 + 2.0 / s) * math.sqrt(1.0 - 4.0 / s)
 

@@ -2,11 +2,26 @@
 
 The mode condition couples the wavevector back into the responses, so the
 self-consistent solver scans a wavevector grid, brackets sign changes of the
-residual, and polishes each root.  The scan evaluates the whole grid at once:
-its full-kinematics quadratures run side by side, one integrand call per
-refinement round (``scalar_triples``); the polish evaluates one point at a
-time.  A long-wavelength mode solves the same condition with the q = 0
-responses, where it reduces to a square root.
+residual, and polishes each root with Brent's method.  Both stages are
+batched through ``scalar_triples``, whose full-kinematics quadratures run side
+by side, one integrand call per refinement round:
+
+- the scan needs only the sign of the residual at each grid point, so it
+  integrates the whole grid at a loose tolerance first and carries each
+  point's error estimate through the assembly into a first-order bound on
+  its residual; a sign counts as certified when the residual exceeds ten
+  times that bound (and muInv twice its own), and only the other points are
+  integrated again at the caller's tolerance.  The certificate is as good as
+  the quadrature's own error estimate; on audited solves that estimate
+  overstated the true error at least fivefold at every grid point;
+- the polish advances every bracket together (``lockstep_brentq``), so one
+  Brent step of all brackets is one ``scalar_triples`` call at the caller's
+  tolerance.
+
+On the audited solves brackets, roots and residuals are those of a scan and
+a point-by-point ``brentq`` polish at the caller's tolerance.  A long-wavelength mode solves
+the same condition with the q = 0 responses, where it reduces to a square
+root.
 """
 
 from __future__ import annotations
@@ -16,12 +31,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import ThermoState, make_kinematics
 from .limits import thomas_fermi_mass2
 from .quadrature import DEFAULT_TOL, NonConvergence
-from .response import assemble_responses, evaluate_point
+from .response import assemble_responses, evaluate_point, response_error_bounds
+from .roots import brentq, lockstep_brentq  # noqa: F401  (perfbench wraps brentq)
 from .scalar_functions import LightConeSingular, scalar_triples
 
 # below this the permeability is effectively singular and the point is skipped
@@ -30,6 +45,14 @@ MU_INV_GUARD = 1e-12
 # a polished root must reproduce a residual this small; sign changes that fail
 # are permeability-pole crossings, where the residual jumps without a zero
 POLE_FILTER = 1e-6
+
+# the sign scan integrates at max(tol, SCAN_TOL) first; this sets speed only
+SCAN_TOL = 1e-4
+
+# a loose residual certifies its sign when it exceeds SIGN_MARGIN times its
+# error bound, and a loose muInv when it exceeds MU_INV_MARGIN times its bound
+SIGN_MARGIN = 10.0
+MU_INV_MARGIN = 2.0
 
 
 class DispersionMode(enum.Enum):
@@ -61,15 +84,20 @@ def _default_response(state: ThermoState, tol: float):
     return fn
 
 
+def _grid_triples(omega: float, qs, state: ThermoState, tol: float) -> list:
+    """(kinematics, ScalarTriple or the point's typed exception) at every q."""
+    kins = [make_kinematics(omega, float(q)) for q in qs]
+    return list(zip(kins, scalar_triples(kins, state, tol=tol)))
+
+
 def _grid_responses(omega: float, qs, state: ThermoState, tol: float) -> list:
     """(eps, muInv, tau) at every q, or the point's typed exception in its place.
 
     One scalar_triples call serves the whole grid, so the full-kinematics
     points share their quadrature rounds.
     """
-    kins = [make_kinematics(omega, float(q)) for q in qs]
     out = []
-    for kin, tr in zip(kins, scalar_triples(kins, state, tol=tol)):
+    for kin, tr in _grid_triples(omega, qs, state, tol):
         if isinstance(tr, Exception):
             out.append(tr)
         else:
@@ -91,6 +119,57 @@ def _residual(omega: float, q: float, resp) -> float | None:
     return q * q - mu * eps * omega * omega + 2.0 * mu * tau * omega * q
 
 
+def _certified_residual(omega: float, kin, tr) -> float | None:
+    """The residual at a loose-tolerance point when its sign is certain, else None.
+
+    The triple's errEst is carried through the assembly (response_error_bounds)
+    and then, to first order, through the residual.  The sign counts as
+    certain when the residual exceeds SIGN_MARGIN times that bound and muInv
+    stays clear of both MU_INV_MARGIN times its own bound and the MU_INV_GUARD
+    cut; this is only as sound as errEst is a bound on the quadrature error.
+    """
+    if isinstance(tr, Exception):
+        return None
+    r = assemble_responses(tr, kin)
+    res = _residual(omega, kin.qmag, (r.eps, r.muInv, r.tau))
+    if res is None:
+        return None
+    err_eps, err_mu, err_tau = response_error_bounds(tr, kin)
+    if abs(r.muInv) <= MU_INV_GUARD + MU_INV_MARGIN * err_mu:
+        return None
+    q, mu = kin.qmag, 1.0 / r.muInv
+    num = r.eps * omega * omega - 2.0 * r.tau * omega * q
+    bound = abs(mu) * (omega * omega * err_eps + 2.0 * omega * q * err_tau) \
+        + mu * mu * abs(num) * err_mu
+    return res if abs(res) > SIGN_MARGIN * bound else None
+
+
+def _sign_scan(omega: float, grid: list[float], state: ThermoState,
+               tol: float) -> list[float | None]:
+    """Grid residuals whose signs stand for the signs of the residuals at tol.
+
+    The whole grid is integrated at max(tol, SCAN_TOL); the points whose sign
+    _certified_residual cannot certify are integrated again at tol, in one
+    more call.  The certificate rests on the quadrature's own errEst with a
+    10x margin (2x for muInv), so it holds as far as errEst bounds the error;
+    no certified sign differed from the sign at tol on the audited seeds.  A
+    point that converges at the loose tolerance gets a value here even where
+    tol would raise NonConvergence; such a gap is caught by the polish, which
+    evaluates both bracket ends again at tol and drops the bracket.
+    """
+    loose = max(tol, SCAN_TOL)
+    if loose == tol:
+        return [_residual(omega, q, r)
+                for q, r in zip(grid, _grid_responses(omega, grid, state, tol))]
+    vals = [_certified_residual(omega, kin, tr)
+            for kin, tr in _grid_triples(omega, grid, state, loose)]
+    doubt = [i for i, v in enumerate(vals) if v is None]
+    redo = _grid_responses(omega, [grid[i] for i in doubt], state, tol)
+    for i, resp in zip(doubt, redo):
+        vals[i] = _residual(omega, grid[i], resp)
+    return vals
+
+
 def solve_dispersion(omega: float, state: ThermoState,
                      mode: DispersionMode | str = DispersionMode.SelfConsistent,
                      response_fn=None, tol: float = DEFAULT_TOL,
@@ -99,19 +178,22 @@ def solve_dispersion(omega: float, state: ThermoState,
 
     response_fn(omega, qmag) -> (eps, muInv, tau) overrides the internal
     evaluation; grid points where it raises or sits on a permeability pole
-    are skipped rather than fatal.  Without it the scan evaluates the whole
-    wavevector grid in one ``scalar_triples`` call; either way every grid
-    value goes through the same residual.  Each bracketed sign change is
-    polished point by point with brentq; those that cannot be polished down
-    to POLE_FILTER are pole crossings, not modes, and are dropped.  No root
-    is reported as an empty tuple.
+    are skipped rather than fatal.  Without it the grid is scanned in two
+    batched passes (see the module docstring); with it every grid point is
+    evaluated one at a time.  Every bracketed sign change is polished with
+    Brent's method, all brackets in lockstep; those that cannot be polished
+    down to POLE_FILTER are pole crossings, not modes, and are dropped.  No
+    root is reported as an empty tuple.  Raises ValueError unless omega > 0
+    and n_grid >= 2.
     """
     if omega <= 0.0 or not math.isfinite(omega):
         raise ValueError("solve_dispersion requires omega > 0")
+    if n_grid < 2:
+        raise ValueError("solve_dispersion requires n_grid >= 2")
     mode = DispersionMode(mode) if not isinstance(mode, DispersionMode) else mode
-    fn = response_fn if response_fn is not None else _default_response(state, tol)
 
     if mode is DispersionMode.LongWavelength:
+        fn = response_fn if response_fn is not None else _default_response(state, tol)
         eps, mu_inv, _ = fn(omega, 0.0)
         if abs(mu_inv) < MU_INV_GUARD:
             return DispersionSolution(omega, (), (), 0.0, mode.value)
@@ -123,50 +205,46 @@ def solve_dispersion(omega: float, state: ThermoState,
         residual = abs(q * q - ratio * omega * omega)
         return DispersionSolution(omega, (q,), (n,), residual, mode.value)
 
-    def response_at(q: float):
-        try:
-            return fn(omega, q)
-        except (LightConeSingular, NonConvergence, ValueError) as exc:
-            return exc
-
-    def residual_fn(q: float) -> float | None:
-        return _residual(omega, q, response_at(q))
-
-    def strict_residual(q: float) -> float:
-        v = residual_fn(q)
-        if v is None:
-            raise RuntimeError("response unavailable inside bracket")
-        return v
-
     q_max = 10.0 * omega + 10.0 * math.sqrt(thomas_fermi_mass2(state, tol=tol))
     grid = np.linspace(q_max / n_grid, q_max, n_grid).tolist()
     if response_fn is None:
-        responses = _grid_responses(omega, grid, state, tol)
+        def responses(qs):
+            return _grid_responses(omega, qs, state, tol)
+        vals = _sign_scan(omega, grid, state, tol)
     else:
-        responses = [response_at(q) for q in grid]
-    vals = [_residual(omega, q, r) for q, r in zip(grid, responses)]
+        def responses(qs):
+            out = []
+            for q in qs:
+                try:
+                    out.append(response_fn(omega, q))
+                except (LightConeSingular, NonConvergence, ValueError) as exc:
+                    out.append(exc)
+            return out
+        vals = [_residual(omega, q, r) for q, r in zip(grid, responses(grid))]
 
     # (root, |residual| there)
     roots: list[tuple[float, float]] = []
+    brackets: list[tuple[float, float]] = []
     for i in range(n_grid - 1):
         r1, r2 = vals[i], vals[i + 1]
         if r1 is None or r2 is None:
             continue
         if r1 == 0.0:
             roots.append((grid[i], 0.0))
-            continue
-        if r1 * r2 < 0.0:
-            try:
-                root = brentq(strict_residual, grid[i], grid[i + 1],
-                              xtol=1e-14, rtol=1e-14)
-            except (RuntimeError, ValueError):
-                continue
-            check = residual_fn(float(root))
-            if check is None or abs(check) > POLE_FILTER:
-                continue
-            roots.append((float(root), abs(check)))
+        elif r1 * r2 < 0.0:
+            brackets.append((grid[i], grid[i + 1]))
     if vals[-1] == 0.0:
         roots.append((grid[-1], 0.0))
+
+    def residuals(qs):
+        vs = [_residual(omega, q, r) for q, r in zip(qs, responses(qs))]
+        return [RuntimeError("response unavailable inside bracket") if v is None
+                else v for v in vs]
+
+    for polished in lockstep_brentq(brackets, residuals, xtol=1e-14, rtol=1e-14):
+        if isinstance(polished, Exception) or abs(polished[1]) > POLE_FILTER:
+            continue
+        roots.append((polished[0], abs(polished[1])))
 
     roots.sort()
     unique: list[tuple[float, float]] = []

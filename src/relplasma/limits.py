@@ -12,12 +12,10 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from scipy.integrate import quad
-from scipy.optimize import brentq
-
 from .core import E2_DEFAULT, Regime, ThermoState, make_kinematics
 from .quadrature import DEFAULT_TOL
 from .response import assemble_responses
+from .roots import brentq
 from .scalar_functions import moment_integrals, scalar_triple, stationary_scalars
 
 _PI2 = math.pi**2
@@ -81,6 +79,9 @@ def lindhard_chi_e(omega: float, qmag: float, nr: NRState) -> float:
     Static screening for omega = 0; small real frequencies are allowed since
     the log representation stays integrable.
     """
+    # imported here so that importing relplasma does not load scipy
+    from scipy.integrate import quad
+
     if qmag <= 0.0:
         raise ValueError("lindhard_chi_e requires qmag > 0")
     if omega < 0.0:

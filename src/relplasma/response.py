@@ -58,6 +58,23 @@ def assemble_responses(scalars: ScalarTriple, kin: Kinematics) -> ResponseSet:
                        muPrimeInv=-eps_prime, tau=tau, sigma=tau)
 
 
+def response_error_bounds(scalars: ScalarTriple,
+                          kin: Kinematics) -> tuple[float, float, float]:
+    """Error bounds on (eps, muInv, tau) from the triple's errEst.
+
+    errEst bounds aStar, bStar and dStar alike (and W on the long-wavelength
+    route); cStar is a closed form.  Each bound sums |coefficient| * errEst
+    over the quadrature scalars that assemble_responses combines.
+    """
+    e = scalars.errEst
+    if scalars.longwaveW is not None:
+        return 3.0 * e, 3.0 * e, (kin.qmag / kin.omega) * e if kin.omega > 0.0 else 0.0
+    if kin.qmag > 0.0:
+        r = kin.omega**2 / kin.qmag**2
+        return (1.0 + abs(1.0 - r)) * e, (1.0 + 2.0 * r) * e, (kin.omega / kin.qmag) * e
+    return 2.0 * e, e, 0.0
+
+
 def evaluate_point(kin: Kinematics, state: ThermoState,
                    regime: Regime | str | None = None,
                    tol: float = DEFAULT_TOL) -> tuple[ScalarTriple, ResponseSet]:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +329,15 @@ class TestCheckReporting:
         text = capsys.readouterr().out
         assert "FAIL beta" in text
         assert "1/2" in text
+
+
+def test_cli_import_loads_no_scipy():
+    # only the two quadrature oracles (lindhard_chi_e and the spectral vacuum
+    # check) use scipy, and they import it when called
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, relplasma.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -5,19 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relplasma import scalar_functions
+from relplasma import dispersion, scalar_functions
 from relplasma.core import ThermoState, make_kinematics
 from relplasma.dispersion import (
     BandReport,
     DispersionMode,
     _grid_responses,
+    _grid_triples,
     _residual,
+    _sign_scan,
     negative_index_scan,
     solve_dispersion,
 )
 from relplasma.limits import plasmon_frequency
 from relplasma.quadrature import DEFAULT_TOL
-from relplasma.response import evaluate_point
+from relplasma.response import assemble_responses, evaluate_point, response_error_bounds
+from relplasma.roots import brentq
 from relplasma.scalar_functions import LightConeSingular
 
 COLD2 = ThermoState(t=0.0, zeta=2.0)
@@ -103,6 +106,12 @@ class TestSelfConsistentMode:
         with pytest.raises(ValueError):
             solve_dispersion(0.0, COLD2)
 
+    @pytest.mark.parametrize("n_grid", [-1, 0, 1])
+    def test_rejects_grid_without_an_interval(self, n_grid):
+        stub = lambda w, q: (4.0, 1.0, 0.0)  # noqa: E731
+        with pytest.raises(ValueError, match="n_grid"):
+            solve_dispersion(0.3, COLD2, response_fn=stub, n_grid=n_grid)
+
 
 class TestGridScan:
     def test_grid_residuals_match_point_by_point(self):
@@ -123,6 +132,69 @@ class TestGridScan:
                                             rel=1e-13, abs=1e-15)
 
 
+class TestCertifiedScan:
+    """The loose first pass must reproduce the signs of a scan at tol."""
+
+    CASES = [(0.06, COLD2), (0.1, COLD2), (0.2, COLD2),
+             (0.1, ThermoState(t=0.05, zeta=2.0)), (0.15, ThermoState(t=0.05, zeta=2.0)),
+             (0.04, ThermoState(t=0.0, zeta=1.5))]
+
+    @staticmethod
+    def signs(vals):
+        return [None if v is None else (v > 0.0) - (v < 0.0) for v in vals]
+
+    @staticmethod
+    def single_pass(monkeypatch):
+        monkeypatch.setattr(dispersion, "SCAN_TOL", 0.0)
+
+    @pytest.mark.parametrize("omega, state", CASES)
+    def test_solution_equals_single_pass_at_tol(self, omega, state, monkeypatch):
+        two = solve_dispersion(omega, state, n_grid=128)
+        self.single_pass(monkeypatch)
+        assert solve_dispersion(omega, state, n_grid=128) == two
+
+    def test_signs_near_a_permeability_pole(self, monkeypatch):
+        # at omega = 0.2 the residual changes sign through a muInv pole; grid
+        # points crowd in on it from both sides
+        omega = 0.2
+        grid = np.linspace(0.013, 0.4, 40).tolist()
+        for state in (COLD2, ThermoState(t=0.05, zeta=2.0)):
+            def mu_inv(q):
+                return _grid_responses(omega, [q], state, DEFAULT_TOL)[0][1]
+
+            k = next(i for i in range(len(grid) - 1)
+                     if mu_inv(grid[i]) > 0.0 > mu_inv(grid[i + 1]))
+            pole = brentq(mu_inv, grid[k], grid[k + 1], xtol=1e-15, rtol=1e-14)
+            near = sorted(grid + [pole * (1.0 + s * d) for s in (-1.0, 1.0)
+                                  for d in (1e-3, 1e-6, 1e-9, 1e-12)])
+            two = _sign_scan(omega, near, state, DEFAULT_TOL)
+            with monkeypatch.context() as m:
+                self.single_pass(m)
+                one = _sign_scan(omega, near, state, DEFAULT_TOL)
+            assert self.signs(two) == self.signs(one)
+
+    @pytest.mark.parametrize("omega, state", CASES[1:4])
+    def test_grid_signs_equal_single_pass(self, omega, state, monkeypatch):
+        grid = np.linspace(0.005, 0.5, 200).tolist()
+        two = _sign_scan(omega, grid, state, DEFAULT_TOL)
+        self.single_pass(monkeypatch)
+        assert self.signs(two) == self.signs(_sign_scan(omega, grid, state, DEFAULT_TOL))
+
+    def test_error_bounds_cover_loose_responses(self):
+        # the bound the certification rests on, against a 100x tighter run
+        grid = np.linspace(0.005, 0.5, 60).tolist()
+        for state in (COLD2, ThermoState(t=0.05, zeta=2.0)):
+            loose = _grid_triples(0.1, grid, state, dispersion.SCAN_TOL)
+            tight = _grid_responses(0.1, grid, state, DEFAULT_TOL / 100.0)
+            for (kin, tr), ref in zip(loose, tight):
+                if isinstance(tr, Exception):
+                    continue
+                r = assemble_responses(tr, kin)
+                bounds = response_error_bounds(tr, kin)
+                for got, want, bound in zip((r.eps, r.muInv, r.tau), ref, bounds):
+                    assert abs(got - want) <= bound
+
+
 class TestWorkCounters:
     """Deterministic work counts against the ceilings in work_ceilings.json."""
 
@@ -140,8 +212,8 @@ class TestWorkCounters:
         assert len(calls) <= CEILINGS["solve_dispersion.fermi_occupation_calls"]["ceiling"]
 
     def test_response_evaluations_per_solve(self):
-        # n_grid scan points, the brentq polish, and one residual check per
-        # polished root
+        # n_grid scan points and the brentq polish; the polish returns the
+        # residual at its root, so no point is evaluated twice for it
         calls = []
 
         def stub(w, q):
