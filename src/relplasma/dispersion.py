@@ -4,24 +4,34 @@ The mode condition couples the wavevector back into the responses, so the
 self-consistent solver scans a wavevector grid, brackets sign changes of the
 residual, and polishes each root with Brent's method.  Both stages are
 batched through ``scalar_triples``, whose full-kinematics quadratures run side
-by side, one integrand call per refinement round:
+by side, one integrand call per refinement round, and both start most
+quadratures warm, from the converged panel partition of a nearby q at the
+same tolerance (``map_partition``):
 
 - the scan needs only the sign of the residual at each grid point, so it
-  integrates the whole grid at a loose tolerance first and carries each
-  point's error estimate through the assembly into a first-order bound on
-  its residual; a sign counts as certified when the residual exceeds ten
-  times that bound (and muInv twice its own), and only the other points are
-  integrated again at the caller's tolerance.  The certificate is as good as
-  the quadrature's own error estimate; on audited solves that estimate
-  overstated the true error at least fivefold at every grid point;
+  integrates the whole grid at a loose tolerance first: every SEED_STRIDE-th
+  point (and the last) cold, then every other point started from the
+  nearest of those.  Each point's error estimate is carried through the
+  assembly into a first-order bound on its residual; a sign counts as
+  certified when the residual exceeds ten times that bound (and muInv twice
+  its own), and only the other points are integrated again, cold, at the
+  caller's tolerance.  The certificate is as good as the quadrature's own
+  error estimate; on audited solves that estimate overstated the true error
+  at least fivefold at every grid point;
 - the polish advances every bracket together (``lockstep_brentq``), so one
   Brent step of all brackets is one ``scalar_triples`` call at the caller's
-  tolerance.
+  tolerance.  The first step (each bracket's lower end) starts cold; every
+  later step starts each abscissa from the nearest one an earlier step of
+  the same solve integrated.  The partitions are dropped when the solve
+  returns.
 
-On the audited solves brackets, roots and residuals are those of a scan and
-a point-by-point ``brentq`` polish at the caller's tolerance.  A long-wavelength mode solves
-the same condition with the q = 0 responses, where it reduces to a square
-root.
+A warm start converges to the same tolerance as a cold one, not to the same
+bits, so the roots depend on the polish path at about 1e-12 relative; on the
+audited solves brackets and root counts are those of a cold scan and a
+point-by-point ``brentq`` polish at the caller's tolerance.  The polish
+draws only on its own steps, so the roots depend on the brackets alone, not
+on how the scan reached them.  A long-wavelength mode solves the same
+condition with the q = 0 responses, where it reduces to a square root.
 """
 
 from __future__ import annotations
@@ -48,6 +58,10 @@ POLE_FILTER = 1e-6
 
 # the sign scan integrates at max(tol, SCAN_TOL) first; this sets speed only
 SCAN_TOL = 1e-4
+
+# that loose scan integrates every SEED_STRIDE-th grid point (and the last)
+# cold and starts the others from the nearest of them; this sets speed only
+SEED_STRIDE = 16
 
 # a loose residual certifies its sign when it exceeds SIGN_MARGIN times its
 # error bound, and a loose muInv when it exceeds MU_INV_MARGIN times its bound
@@ -84,20 +98,41 @@ def _default_response(state: ThermoState, tol: float):
     return fn
 
 
-def _grid_triples(omega: float, qs, state: ThermoState, tol: float) -> list:
-    """(kinematics, ScalarTriple or the point's typed exception) at every q."""
+def _nearest_seeds(qs, pool: dict) -> list:
+    """Per q the partition pooled at the nearest q; all None for an empty pool."""
+    if not pool:
+        return [None] * len(qs)
+    known = np.array(sorted(pool))
+    nearest = np.abs(np.asarray(qs)[:, None] - known).argmin(axis=1)
+    return [pool[q] for q in known[nearest].tolist()]
+
+
+def _grid_triples(omega: float, qs, state: ThermoState, tol: float,
+                  pool: dict | None = None) -> list:
+    """(kinematics, ScalarTriple or the point's typed exception) at every q.
+
+    With a pool (q -> partition at tol), each full-kinematics point starts
+    from the partition pooled at the nearest q, and the partitions this call
+    converges go into the pool.
+    """
     kins = [make_kinematics(omega, float(q)) for q in qs]
-    return list(zip(kins, scalar_triples(kins, state, tol=tol)))
+    if pool is None:
+        return list(zip(kins, scalar_triples(kins, state, tol=tol)))
+    triples, parts = scalar_triples(kins, state, tol=tol,
+                                    seeds=_nearest_seeds(qs, pool))
+    pool.update((kin.qmag, part) for kin, part in zip(kins, parts) if part is not None)
+    return list(zip(kins, triples))
 
 
-def _grid_responses(omega: float, qs, state: ThermoState, tol: float) -> list:
+def _grid_responses(omega: float, qs, state: ThermoState, tol: float,
+                    pool: dict | None = None) -> list:
     """(eps, muInv, tau) at every q, or the point's typed exception in its place.
 
     One scalar_triples call serves the whole grid, so the full-kinematics
-    points share their quadrature rounds.
+    points share their quadrature rounds; pool is that of _grid_triples.
     """
     out = []
-    for kin, tr in _grid_triples(omega, qs, state, tol):
+    for kin, tr in _grid_triples(omega, qs, state, tol, pool):
         if isinstance(tr, Exception):
             out.append(tr)
         else:
@@ -148,21 +183,33 @@ def _sign_scan(omega: float, grid: list[float], state: ThermoState,
                tol: float) -> list[float | None]:
     """Grid residuals whose signs stand for the signs of the residuals at tol.
 
-    The whole grid is integrated at max(tol, SCAN_TOL); the points whose sign
-    _certified_residual cannot certify are integrated again at tol, in one
-    more call.  The certificate rests on the quadrature's own errEst with a
-    10x margin (2x for muInv), so it holds as far as errEst bounds the error;
-    no certified sign differed from the sign at tol on the audited seeds.  A
-    point that converges at the loose tolerance gets a value here even where
-    tol would raise NonConvergence; such a gap is caught by the polish, which
-    evaluates both bracket ends again at tol and drops the bracket.
+    The whole grid is integrated at max(tol, SCAN_TOL): every SEED_STRIDE-th
+    point and the last one cold, then the rest in one more call, each point
+    started from the nearest cold point's partition (cold where the
+    breakpoint counts differ, as across q = omega).  The points whose sign
+    _certified_residual cannot certify are integrated again, cold, at tol, in
+    one more call.  The certificate rests on the quadrature's own errEst
+    with a 10x margin (2x for muInv), so it holds as far as errEst bounds
+    the error, warm start or not; no certified sign differed from the sign
+    of a cold scan at tol on the audited seeds.  A point that converges at
+    the loose tolerance gets a value here even where tol would raise
+    NonConvergence; such a gap is caught by the polish, which evaluates both
+    bracket ends again at tol and drops the bracket.  With tol >= SCAN_TOL
+    the grid is integrated once, cold, at tol.
     """
     loose = max(tol, SCAN_TOL)
     if loose == tol:
         return [_residual(omega, q, r)
                 for q, r in zip(grid, _grid_responses(omega, grid, state, tol))]
-    vals = [_certified_residual(omega, kin, tr)
-            for kin, tr in _grid_triples(omega, grid, state, loose)]
+    last = len(grid) - 1
+    cold = [i for i in range(len(grid)) if i % SEED_STRIDE == 0 or i == last]
+    warm = [i for i in range(len(grid)) if i % SEED_STRIDE and i != last]
+    pool: dict = {}
+    vals: list[float | None] = [None] * len(grid)
+    for part in (cold, warm):
+        pairs = _grid_triples(omega, [grid[i] for i in part], state, loose, pool)
+        for i, (kin, tr) in zip(part, pairs):
+            vals[i] = _certified_residual(omega, kin, tr)
     doubt = [i for i, v in enumerate(vals) if v is None]
     redo = _grid_responses(omega, [grid[i] for i in doubt], state, tol)
     for i, resp in zip(doubt, redo):
@@ -181,7 +228,8 @@ def solve_dispersion(omega: float, state: ThermoState,
     are skipped rather than fatal.  Without it the grid is scanned in two
     batched passes (see the module docstring); with it every grid point is
     evaluated one at a time.  Every bracketed sign change is polished with
-    Brent's method, all brackets in lockstep; those that cannot be polished
+    Brent's method, all brackets in lockstep (without response_fn, warm
+    started as the module docstring says); those that cannot be polished
     down to POLE_FILTER are pole crossings, not modes, and are dropped.  No
     root is reported as an empty tuple.  Raises ValueError unless omega > 0
     and n_grid >= 2.
@@ -208,8 +256,10 @@ def solve_dispersion(omega: float, state: ThermoState,
     q_max = 10.0 * omega + 10.0 * math.sqrt(thomas_fermi_mass2(state, tol=tol))
     grid = np.linspace(q_max / n_grid, q_max, n_grid).tolist()
     if response_fn is None:
+        polished: dict = {}  # q -> partition at tol, from the polish's own steps
+
         def responses(qs):
-            return _grid_responses(omega, qs, state, tol)
+            return _grid_responses(omega, qs, state, tol, polished)
         vals = _sign_scan(omega, grid, state, tol)
     else:
         def responses(qs):

@@ -10,16 +10,25 @@ There is one engine, ``lockstep_panels``: it refines many independent
 integrals side by side.  Each integral keeps its own panel heap and takes
 exactly the steps it would take alone; each round gathers the panels every
 live integral needs (its initial panels, or the two halves of its worst
-panel) into one integrand call.  ``adaptive_panels`` is its one-integral
+panel) into one integrand call, evaluated in chunks of _CHUNK panels so a
+wide round stays small in memory.  ``adaptive_panels`` is its one-integral
 case.  The panel sums are elementwise in the panels, so an integral's value,
 error estimate and panel count do not depend on what it was batched with.
+
+A converged result carries its leaf partition (``IntegralResult.edges``).
+``map_partition`` moves such a partition onto the base edges of a nearby
+integrand (same number of breakpoints, slightly moved), and the mapped list
+can start another integral: a richer initial edge list, refined under the
+same stop rule, budget and frozen-panel rule.  Restarting from a converged
+neighbour's mesh is the continuation idea of QUADPACK-style drivers; a
+warm start whose mesh already meets tol finishes in one round.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import add, sub
 
 import numpy as np
@@ -31,6 +40,9 @@ DEFAULT_TOL = 1e-9
 # lockstep_panels keeps at most this many panel trees alive at once; a
 # finished integral frees its slot for the next one waiting
 LOCKSTEP_LIVE = 32
+# _panels hands the integrand at most this many panels per call; results do
+# not depend on it because integrands act elementwise
+_CHUNK = 128
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1]; all nodes strictly interior.
 _XK_HALF = np.array([
@@ -54,12 +66,14 @@ _WG[1:-1:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 @dataclass(frozen=True)
 class IntegralResult:
     """value and errEst are floats for a scalar integrand, length-k arrays for
-    an integrand returning k rows."""
+    an integrand returning k rows.  edges is the leaf partition, frozen panels
+    included, as a sorted float64 array (None with no panel)."""
 
     value: float | np.ndarray
     errEst: float | np.ndarray
     panels: int
     converged: bool
+    edges: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -89,16 +103,27 @@ _EMPTY = IntegralResult(0.0, 0.0, 0, True)
 
 
 def _panels(f, lo: list, hi: list, owner: list):
-    """One Gauss-Kronrod pass over many panels in one integrand call.
+    """One Gauss-Kronrod pass over many panels, _CHUNK panels per integrand call.
 
-    Returns, per panel, its largest component error, its kronrod values and
-    its error estimates (lists of floats), and whether f returned one row.
+    Returns per panel its largest component error, its kronrod values and
+    its error estimates (arrays of shape (p,), (p, k), (p, k)), and whether f
+    returned one row.
     """
     lo, hi = np.array(lo), np.array(hi)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = (mid[:, None] + half[:, None] * _XK).ravel()
-    fv = np.asarray(f(x, np.repeat(owner, _XK.size)), dtype=float)
+    own = np.repeat(owner, _XK.size)
+    step = _CHUNK * _XK.size
+    fv = None
+    for s in range(0, x.size, step):
+        part = np.asarray(f(x[s:s + step], own[s:s + step]), dtype=float)
+        if fv is None:
+            if x.size <= step:
+                fv = part
+                break
+            fv = np.empty(part.shape[:-1] + x.shape)
+        fv[..., s:s + step] = part
     scalar = fv.ndim == 1
     fv = fv.reshape(-1, lo.size, _XK.size)
     # einsum reduces each panel's 15 nodes on their own, so a panel's sums do
@@ -106,7 +131,7 @@ def _panels(f, lo: list, hi: list, owner: list):
     val = half * np.einsum("kpn,n->kp", fv, _WK)
     err = np.abs(val - half * np.einsum("kpn,n->kp", fv, _WG))
     err[~np.isfinite(val)] = math.inf
-    return err.max(axis=0).tolist(), val.T.tolist(), err.T.tolist(), scalar
+    return err.max(axis=0), val.T, err.T, scalar
 
 
 class _Tree:
@@ -119,23 +144,24 @@ class _Tree:
     """
 
     __slots__ = ("heap", "frozen", "vals", "errs", "k", "serial", "live_err",
-                 "frozen_err")
+                 "frozen_err", "top")
 
-    def __init__(self) -> None:
-        self.heap: list[tuple] = []
-        self.frozen: list[int] = []  # serials of panels at machine width
-        self.vals = array("d")
-        self.errs = array("d")
-        self.k = 0
-        self.serial = 0
-        self.live_err: list[float] = []
-        self.frozen_err: list[float] = []
+    def __init__(self, keys, lo: list, hi: list, vals, errs) -> None:
+        """Take the initial panels: one heapify pops them in the (key, serial)
+        order that pushing them one by one gives."""
+        n, self.k = errs.shape
+        self.heap = list(zip((-keys).tolist(), range(n), lo, hi))
+        heapq.heapify(self.heap)
+        self.frozen: list[tuple[int, float]] = []  # (serial, lo) at machine width
+        self.vals = array("d", vals.tobytes())
+        self.errs = array("d", errs.tobytes())
+        self.serial = n
+        self.top = hi[-1]
+        # add.accumulate sums in panel order, as one push at a time would
+        self.live_err = np.add.accumulate(errs, axis=0)[-1].tolist()
+        self.frozen_err = [0.0] * self.k
 
     def push(self, key: float, lo: float, hi: float, val: list, err: list) -> None:
-        if not self.k:
-            self.k = len(err)
-            self.live_err = [0.0] * self.k
-            self.frozen_err = [0.0] * self.k
         heapq.heappush(self.heap, (-key, self.serial, lo, hi))
         self.serial += 1
         self.vals.extend(val)
@@ -143,13 +169,17 @@ class _Tree:
         self.live_err = list(map(add, self.live_err, err))
 
     def totals(self, converged: bool, scalar: bool) -> IntegralResult:
-        starts = [item[1] * self.k for item in self.heap]
-        starts += [s * self.k for s in self.frozen]
-        value = [math.fsum(self.vals[s + c] for s in starts) for c in range(self.k)]
-        err = [math.fsum(self.errs[s + c] for s in starts) for c in range(self.k)]
+        leaves = [item[1:3] for item in self.heap] + self.frozen
+        serials = [serial for serial, _ in leaves]
+        # fsum is exactly rounded, so the panel order does not matter
+        value, err = ([math.fsum(c) for c in
+                       np.frombuffer(a).reshape(-1, self.k)[serials].T.tolist()]
+                      for a in (self.vals, self.errs))
+        edges = np.array(sorted(lo for _, lo in leaves) + [self.top])
         if scalar:
-            return IntegralResult(value[0], err[0], len(starts), converged)
-        return IntegralResult(np.array(value), np.array(err), len(starts), converged)
+            return IntegralResult(value[0], err[0], len(leaves), converged, edges)
+        return IntegralResult(np.array(value), np.array(err), len(leaves), converged,
+                              edges)
 
     def advance(self, tol: float, budget: int, scalar: bool):
         """Pop panels until one is due for bisection and return its (lo, hi).
@@ -170,7 +200,7 @@ class _Tree:
             # stop well above machine width: thinner panels would let rounding
             # push open-rule nodes onto a singular edge
             if hi - lo < 1e-13 * max(1.0, abs(lo), abs(hi)):
-                frozen.append(serial)
+                frozen.append((serial, lo))
                 self.frozen_err = list(map(add, self.frozen_err, err))
                 continue
             return lo, hi
@@ -220,24 +250,31 @@ def lockstep_panels(f, edge_lists, tol: float = DEFAULT_TOL,
             else:
                 results[i] = step
                 del trees[i]
-        while len(trees) < LOCKSTEP_LIVE:
+        halves = len(lo)
+        admitted: list[tuple[int, int, int]] = []  # (integral, first, stop)
+        while len(trees) + len(admitted) < LOCKSTEP_LIVE:
             i, edges = next(waiting, (None, None))
             if i is None:
                 break
-            edges = sorted(set(float(e) for e in edges))
+            edges = sorted(set(np.asarray(edges, dtype=float).tolist()))
             if len(edges) < 2:
                 # with no panel to integrate the result is a scalar zero
                 results[i] = _EMPTY
                 continue
-            trees[i] = _Tree()
+            admitted.append((i, len(lo), len(lo) + len(edges) - 1))
             lo += edges[:-1]
             hi += edges[1:]
             owner += [i] * (len(edges) - 1)
         if not lo:
             return results
         keys, vals, errs, scalar = _panels(f, lo, hi, owner)
-        for j, i in enumerate(owner):
-            trees[i].push(keys[j], lo[j], hi[j], vals[j], errs[j])
+        for i, key, plo, phi, val, err in zip(
+                owner[:halves], keys[:halves].tolist(), lo, hi,
+                vals[:halves].tolist(), errs[:halves].tolist()):
+            trees[i].push(key, plo, phi, val, err)
+        for i, first, stop in admitted:
+            trees[i] = _Tree(keys[first:stop], lo[first:stop], hi[first:stop],
+                             vals[first:stop], errs[first:stop])
 
 
 def adaptive_panels(f, edges, tol: float = DEFAULT_TOL,
@@ -258,6 +295,33 @@ def adaptive_panels(f, edges, tol: float = DEFAULT_TOL,
     if isinstance(res, NonConvergence):
         raise res
     return res
+
+
+def map_partition(edges, base_from, base_to) -> np.ndarray | None:
+    """Move a leaf partition made on base_from onto the base edges base_to.
+
+    Base edges are an integral's initial edges (ends, breakpoints, seeds),
+    matched in sorted order.  Each interior point moves piecewise-linearly
+    with the base interval it lies in, its offset taken from the nearer base
+    edge, so a geometric grading towards a breakpoint moves with the
+    breakpoint.  Returns the union with base_to as a strictly increasing
+    array, or None (start cold) when the two bases differ in size.
+    """
+    old = sorted(set(map(float, base_from)))
+    new = sorted(set(map(float, base_to)))
+    if len(old) != len(new) or len(old) < 2:
+        return None
+    x = np.asarray(edges, dtype=float)
+    if old == new:
+        return np.union1d(x, new)
+    old, new = np.array(old), np.array(new)
+    x = x[(x > old[0]) & (x < old[-1])]
+    j = np.searchsorted(old, x, side="right") - 1
+    o_lo, o_hi, n_lo, n_hi = old[j], old[j + 1], new[j], new[j + 1]
+    scale = (n_hi - n_lo) / (o_hi - o_lo)
+    below, above = x - o_lo, o_hi - x
+    moved = np.where(below <= above, n_lo + below * scale, n_hi - above * scale)
+    return np.unique(np.concatenate((np.clip(moved, n_lo, n_hi), new)))
 
 
 def semi_infinite_edges(state: ThermoState, breaks: Breakpoints,

@@ -26,6 +26,7 @@ from .quadrature import (
     integrate_semi_infinite,
     lockstep_panels,
     locate_log_singularities,
+    map_partition,
     semi_infinite_edges,
 )
 
@@ -438,15 +439,24 @@ def _full_triple(kin: Kinematics, c_ratio: float, res: IntegralResult) -> Scalar
 
 
 def scalar_triples(kins: list[Kinematics], state: ThermoState,
-                   tol: float = DEFAULT_TOL) -> list:
+                   tol: float = DEFAULT_TOL, seeds: list | None = None):
     """scalar_triple with automatic routing at many points at once.
 
     Each entry is the point's ScalarTriple, or the typed exception
     scalar_triple raises there (LightConeSingular, NonConvergence, ValueError)
     in its place.  The full-kinematics points are integrated side by side by
-    ``lockstep_panels``, one integrand call per refinement round, and give the
-    same values as one scalar_triple call each; other routes are evaluated
-    point by point.
+    ``lockstep_panels``, one integrand call per refinement round; other
+    routes are evaluated point by point.
+
+    Without seeds every quadrature starts from the point's base edges, and
+    each entry equals its scalar_triple call bit for bit.  With seeds (one
+    entry per point: None, or a partition this function handed back for a
+    point at the same tol) a full-kinematics point starts from the seed's
+    leaf partition moved onto its own base edges (``map_partition``), or cold
+    where the breakpoint counts differ; its value then differs from the cold
+    one within both error estimates.  The call then returns (triples,
+    partitions): per point its (base edges, leaf partition) pair, or None
+    off the full route or without convergence.
     """
     out: list = [None] * len(kins)
     full: list[tuple[int, float, list[float]]] = []
@@ -459,14 +469,24 @@ def scalar_triples(kins: list[Kinematics], state: ThermoState,
             full.append((i, c_ratio, _medium_edges(kin, state, tol)))
         except (ValueError, NonConvergence) as exc:
             out[i] = exc
+    starts = [edges for _, _, edges in full]
+    if seeds is not None:
+        for n, (i, _, edges) in enumerate(full):
+            if seeds[i] is not None:
+                seeded = map_partition(seeds[i][1], seeds[i][0], edges)
+                if seeded is not None:
+                    starts[n] = seeded
     a = np.array([kins[i].a for i, _, _ in full])
     b = np.array([kins[i].b for i, _, _ in full])
     results = lockstep_panels(
         lambda x, owner: _medium_bracket(x, a[owner], b[owner], state),
-        [edges for _, _, edges in full], tol=tol)
-    for (i, c_ratio, _), res in zip(full, results):
+        starts, tol=tol)
+    partitions: list = [None] * len(kins)
+    for (i, c_ratio, edges), res in zip(full, results):
         if isinstance(res, NonConvergence):
             out[i] = res
         else:
             out[i] = _full_triple(kins[i], c_ratio, _medium_scaled(kins[i], state, res))
-    return out
+            if res.edges is not None:
+                partitions[i] = (edges, res.edges)
+    return out if seeds is None else (out, partitions)

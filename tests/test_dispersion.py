@@ -173,6 +173,62 @@ class TestCertifiedScan:
                 one = _sign_scan(omega, near, state, DEFAULT_TOL)
             assert self.signs(two) == self.signs(one)
 
+    @staticmethod
+    def count_warm_starts(monkeypatch):
+        """Count the seeds scalar_triples receives and the cold fallbacks."""
+        seen = {"seeded": 0, "cold": 0}
+        mapped = scalar_functions.map_partition
+
+        def spy(edges, base_from, base_to):
+            out = mapped(edges, base_from, base_to)
+            seen["cold" if out is None else "seeded"] += 1
+            return out
+
+        monkeypatch.setattr(scalar_functions, "map_partition", spy)
+        return seen
+
+    @pytest.mark.parametrize("state", [COLD2, ThermoState(t=0.05, zeta=2.0)])
+    def test_warm_scan_signs_near_a_permeability_zero(self, state, monkeypatch):
+        # a dense grid across the muInv zero at omega = 0.2: the loose scan
+        # starts most points from a neighbour's partition, and every sign it
+        # reports must be that of a cold scan at the full tol
+        omega = 0.2
+        coarse = np.linspace(0.013, 0.4, 40).tolist()
+
+        def mu_inv(q):
+            return _grid_responses(omega, [q], state, DEFAULT_TOL)[0][1]
+
+        k = next(i for i in range(len(coarse) - 1)
+                 if mu_inv(coarse[i]) > 0.0 > mu_inv(coarse[i + 1]))
+        pole = brentq(mu_inv, coarse[k], coarse[k + 1], xtol=1e-15, rtol=1e-14)
+        grid = sorted(np.linspace(0.8 * pole, 1.2 * pole, 96).tolist()
+                      + [pole * (1.0 + s * d) for s in (-1.0, 1.0)
+                         for d in (1e-3, 1e-6, 1e-9, 1e-12)])
+        with monkeypatch.context() as m:
+            seen = self.count_warm_starts(m)
+            warm = _sign_scan(omega, grid, state, DEFAULT_TOL)
+        assert seen["seeded"] > 0.8 * len(grid)
+        self.single_pass(monkeypatch)
+        cold = _sign_scan(omega, grid, state, DEFAULT_TOL)
+        assert self.signs(warm) == self.signs(cold)
+
+    @pytest.mark.parametrize("state", [COLD2, ThermoState(t=0.05, zeta=2.0)])
+    def test_warm_scan_across_the_light_cone(self, state, monkeypatch):
+        # the breakpoint count changes at q = omega, so points seeded from a
+        # cold point on the other side must start cold
+        omega = 0.1
+        grid = [q for q in np.linspace(0.06, 0.14, 64).tolist()
+                if abs(q - omega) > 1e-6]
+        counts = {len(set(scalar_functions._medium_edges(
+            make_kinematics(omega, q), state, dispersion.SCAN_TOL))) for q in grid}
+        assert len(counts) > 1
+        with monkeypatch.context() as m:
+            seen = self.count_warm_starts(m)
+            warm = _sign_scan(omega, grid, state, DEFAULT_TOL)
+        assert seen["cold"] > 0 and seen["seeded"] > 0
+        self.single_pass(monkeypatch)
+        assert self.signs(warm) == self.signs(_sign_scan(omega, grid, state, DEFAULT_TOL))
+
     @pytest.mark.parametrize("omega, state", CASES[1:4])
     def test_grid_signs_equal_single_pass(self, omega, state, monkeypatch):
         grid = np.linspace(0.005, 0.5, 200).tolist()
@@ -199,17 +255,19 @@ class TestWorkCounters:
     """Deterministic work counts against the ceilings in work_ceilings.json."""
 
     def test_scan_integrand_work(self, monkeypatch):
-        calls = []
+        nodes = []
         occupation = scalar_functions.fermi_occupation
 
         def counted(x, state):
-            calls.append(1)
+            nodes.append(x.size)
             return occupation(x, state)
 
         monkeypatch.setattr(scalar_functions, "fermi_occupation", counted)
         sol = solve_dispersion(0.1, COLD2, n_grid=64)
         assert len(sol.qroots) == 2
-        assert len(calls) <= CEILINGS["solve_dispersion.fermi_occupation_calls"]["ceiling"]
+        assert len(nodes) <= CEILINGS["solve_dispersion.fermi_occupation_calls"]["ceiling"]
+        # every panel is one 15-node Gauss-Kronrod pass
+        assert sum(nodes) / 15 <= CEILINGS["solve_dispersion.panels"]["ceiling"]
 
     def test_response_evaluations_per_solve(self):
         # n_grid scan points and the brentq polish; the polish returns the

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relplasma import quadrature
 from relplasma.core import ThermoState, fermi_occupation, make_kinematics
+from relplasma.dispersion import SEED_STRIDE
+from relplasma.limits import thomas_fermi_mass2
 from relplasma.quadrature import (
     Breakpoints,
     IntegralResult,
@@ -16,7 +18,9 @@ from relplasma.quadrature import (
     integrate_semi_infinite,
     locate_log_singularities,
     lockstep_panels,
+    map_partition,
 )
+from relplasma.scalar_functions import _medium_bracket, _medium_edges
 
 COLD2 = ThermoState(t=0.0, zeta=2.0)
 
@@ -218,6 +222,116 @@ class TestLockstepPanels:
             alone = adaptive_panels(lambda x: np.log(np.abs(x - c)) * np.sqrt(x),
                                     edges, tol=1e-11)
             assert_same_integral(got, alone)
+
+
+class TestChunkedRounds:
+    def test_chunked_round_equals_one_call(self, monkeypatch):
+        # three full-kinematics points, 300 panels: wider than one chunk
+        kins = [make_kinematics(0.1, q) for q in (0.05, 0.3, 0.9)]
+        a = np.array([k.a for k in kins])
+        b = np.array([k.b for k in kins])
+        edges = np.linspace(1.0, 2.0, 101)
+        lo = np.tile(edges[:-1], 3).tolist()
+        hi = np.tile(edges[1:], 3).tolist()
+        owner = np.repeat([0, 1, 2], 100).tolist()
+        calls = []
+
+        def f(x, i):
+            calls.append(x.size)
+            return _medium_bracket(x, a[i], b[i], COLD2)
+
+        chunked = quadrature._panels(f, lo, hi, owner)
+        assert len(calls) == math.ceil(300 / quadrature._CHUNK) > 1
+        monkeypatch.setattr(quadrature, "_CHUNK", 10**6)
+        whole = quadrature._panels(f, lo, hi, owner)
+        assert len(calls) == 4 and chunked[3] == whole[3]
+        for got, want in zip(chunked[:3], whole[:3]):
+            assert np.array_equal(got, want)
+
+
+class TestPartitions:
+    def test_result_carries_leaf_partition(self):
+        def f(x):
+            return np.log(np.abs(x - 1.37))
+
+        res = adaptive_panels(f, [1.0, 1.5, 2.0], tol=1e-10)
+        assert res.edges.dtype == np.float64
+        assert res.edges.size == res.panels + 1 < quadrature._CHUNK
+        assert np.all(np.diff(res.edges) > 0.0) and {1.0, 1.5, 2.0} <= set(res.edges)
+        # the converged partition meets tol at once: one round, the same bits
+        calls = []
+        again = lockstep_panels(lambda x, i: calls.append(1) or f(x), [res.edges],
+                                tol=1e-10)[0]
+        assert len(calls) == 1
+        assert (again.value, again.errEst, again.panels) == \
+            (res.value, res.errEst, res.panels)
+
+    def test_partition_includes_frozen_panels(self):
+        # a log singularity off the edges freezes panels at machine width
+        with pytest.raises(NonConvergence) as exc:
+            adaptive_panels(lambda x: np.log(np.abs(x - 1.37)), [1.0, 2.0],
+                            tol=1e-300, budget=400)
+        res = exc.value.result
+        assert res.edges.size == res.panels + 1
+        assert np.min(np.diff(res.edges)) < 1e-13 * 1.37
+
+
+class TestMapPartition:
+    BASE = [1.0, 1.5, 2.0]
+    PART = np.array([1.0, 1.1, 1.3, 1.45, 1.5, 1.52, 1.8, 2.0])
+
+    def test_keeps_new_base_edges_in_order(self):
+        # base lists come unsorted and may repeat an edge
+        new = [2.0, 1.0, 1.62, 1.62]
+        got = map_partition(self.PART, [2.0, 1.5, 1.0], new)
+        assert got.dtype == np.float64 and got.size == self.PART.size
+        assert set(new) <= set(got.tolist())
+        assert got[0] == 1.0 and got[-1] == 2.0 and np.all(np.diff(got) > 0.0)
+
+    def test_same_base_returns_the_partition(self):
+        assert np.array_equal(map_partition(self.PART, self.BASE, self.BASE),
+                              self.PART)
+
+    def test_grading_moves_with_the_breakpoint(self):
+        widths = 10.0 ** -np.arange(3, 13)
+        part = np.sort(np.concatenate([self.BASE, 1.5 - widths, 1.5 + widths]))
+        got = map_partition(part, self.BASE, [1.0, 1.6, 2.0])
+        below = np.sort(1.6 - got[(got > 1.0) & (got < 1.6)])
+        above = np.sort(got[(got > 1.6) & (got < 2.0)] - 1.6)
+        # each side keeps its widths relative to its own base interval
+        np.testing.assert_allclose(below, np.sort(widths) * 0.6 / 0.5, rtol=1e-3)
+        np.testing.assert_allclose(above, np.sort(widths) * 0.4 / 0.5, rtol=1e-3)
+
+    def test_breakpoint_count_change_starts_cold(self):
+        assert map_partition(self.PART, self.BASE, [1.0, 2.0]) is None
+        assert map_partition(self.PART, self.BASE, [1.0, 1.2, 1.7, 2.0]) is None
+
+    @given(zeta=st.floats(1.2, 5.0), t=st.sampled_from([0.0, 0.05]),
+           omega=st.floats(0.02, 0.3), u=st.floats(0.01, 1.0),
+           step=st.floats(-1.0, 1.0), tol=st.sampled_from([1e-4, 1e-9]))
+    @settings(max_examples=30, deadline=None)
+    def test_seeded_integral_agrees_with_cold(self, zeta, t, omega, u, step, tol):
+        # a neighbour's partition one scan stride away or nearer, as the
+        # dispersion scan uses it
+        state = ThermoState(t=t, zeta=zeta)
+        q_max = 10.0 * omega + 10.0 * math.sqrt(thomas_fermi_mass2(state, tol=tol))
+        q0 = max(0.01, u * q_max)
+        q1 = q0 + step * SEED_STRIDE * q_max / 512
+        assume(q1 >= 0.01 and min(abs(q0 - omega), abs(q1 - omega)) > 1e-3)
+        k0, k1 = make_kinematics(omega, q0), make_kinematics(omega, q1)
+        base0, base1 = _medium_edges(k0, state, tol), _medium_edges(k1, state, tol)
+
+        def rows(kin):
+            return lambda x, owner: _medium_bracket(x, kin.a, kin.b, state)
+
+        first = lockstep_panels(rows(k0), [base0], tol=tol)[0]
+        assume(isinstance(first, IntegralResult))
+        seeded = map_partition(first.edges, base0, base1)
+        assume(seeded is not None)
+        warm, cold = lockstep_panels(rows(k1), [seeded, base1], tol=tol)
+        assume(isinstance(cold, IntegralResult))
+        assert isinstance(warm, IntegralResult) and warm.converged
+        assert np.all(np.abs(warm.value - cold.value) <= warm.errEst + cold.errEst)
 
 
 class TestLocateLogSingularities:

@@ -379,6 +379,36 @@ class TestScalarTriples:
             assert type(grid[5]) is ValueError
             assert grid[3].regime is Regime.LongWavelength
 
+    def test_unseeded_grid_is_bit_identical(self):
+        warm = ThermoState(t=0.05, zeta=1.5)
+        points = [(0.1, 0.02), (0.1, 0.3), (0.2, 1.2), (0.07, 0.3), (0.3, 0.05)]
+        for state in (COLD2, warm):
+            kins = [make_kinematics(w, q) for w, q in points]
+            for kin, got in zip(kins, scalar_triples(kins, state)):
+                want = scalar_triple(kin, state)
+                assert got.regime is Regime.FullKinematics
+                for name in self.FIELDS:
+                    assert getattr(got, name) == getattr(want, name), name
+
+    def test_seeds_hand_back_partitions(self):
+        # a warm start from a neighbour 0.01 away in q; the long-wave point
+        # and the light-cone point get no partition, the empty seed is cold
+        kins = [make_kinematics(0.1, q) for q in (0.3, 0.31, 2e-4, 0.1, 0.5)]
+        cold = scalar_triples(kins, COLD2)
+        first, parts = scalar_triples(kins[:1], COLD2, seeds=[None])
+        assert first[0] == cold[0]
+        seeds = [None, parts[0], parts[0], None, None]
+        grid, handed = scalar_triples(kins, COLD2, seeds=seeds)
+        assert [h is None for h in handed] == [False, False, True, True, False]
+        base, edges = handed[1]
+        assert set(base) <= set(edges.tolist())
+        assert grid[0] == cold[0] and isinstance(grid[3], LightConeSingular)
+        warm, ref = grid[1], cold[1]
+        assert warm.bStar != ref.bStar
+        for name in ("aStar", "bStar", "dStar"):
+            assert abs(getattr(warm, name) - getattr(ref, name)) <= \
+                warm.errEst + ref.errEst
+
     def test_nonconvergence_comes_back_in_place(self):
         kins = [make_kinematics(0.2, 1.2), make_kinematics(0.1, 0.3)]
         grid = scalar_triples(kins, COLD2, tol=1e-300)
